@@ -42,6 +42,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     EmptyBatch,
+    FloatRangeError,
     InsufficientSamples,
     MatprodError,
     NormalizationError,
@@ -67,7 +68,6 @@ from .montecarlo import (
 from .pathsum import (
     CollisionRegimeWarning,
     EdgeMultiplicity,
-    PathEnsemble,
     VertexTuple,
     brute_force_moment,
     edge_weight,

@@ -39,7 +39,7 @@ from .ensemble import (
     error_budget,
     make_config,
 )
-from .errors import BudgetExceeded, MatprodError, UsageError
+from .errors import BudgetExceeded, FloatRangeError, MatprodError, UsageError
 from .ksstats import one_sample_critical_5pct, summary, two_sample_ks
 from .montecarlo import (
     chi_square_product_sampler,
@@ -443,15 +443,19 @@ def _run_moments(config: ExperimentConfig):
     ok = True
     for k in config.k:
         reasons = []
-        exact = brute = None
+        exact = brute = theory = None
         try:
             exact = exact_moment(ens, u, k)
-        except BudgetExceeded as exc:
+        except (BudgetExceeded, FloatRangeError) as exc:
             reasons.append(f"exact: {exc}")
         try:
             brute = brute_force_moment(ens, u, k)
         except BudgetExceeded as exc:
             reasons.append(f"brute_force: {exc}")
+        try:
+            theory = theory_moment(params, k)
+        except FloatRangeError as exc:
+            reasons.append(f"theory: {exc}")
         estimate = None
         if batch.trials >= 2:
             estimate = empirical_moment(batch, k)
@@ -463,7 +467,7 @@ def _run_moments(config: ExperimentConfig):
             "brute_force": brute,
             "monte_carlo": estimate.estimate if estimate else None,
             "mc_stderr": estimate.stderr if estimate else None,
-            "theory": theory_moment(params, k),
+            "theory": theory,
             "beta": params.beta,
             "zero_event_rate": batch.zero_event_rate,
             "reason": "; ".join(reasons) if reasons else None,

@@ -28,12 +28,18 @@ class BudgetExceeded(MatprodError):
     ``budget`` the limit it was checked against.
     """
 
-    def __init__(self, estimate: int, budget: int, what: str = "computation"):
+    def __init__(
+        self, estimate: int, budget: int, what: str = "computation", message: str | None = None
+    ):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"{what} needs ~{estimate} elementary evaluations, budget is {budget}"
+            message or f"{what} needs ~{estimate} elementary evaluations, budget is {budget}"
         )
+
+
+class FloatRangeError(MatprodError):
+    """A float result is not finite: it left the range of double precision."""
 
 
 class EmptyBatch(MatprodError):

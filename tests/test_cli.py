@@ -101,6 +101,30 @@ class TestMomentsCommand:
         assert rows[0]["brute_force"] == ""
         assert "brute_force" in rows[0]["reason"]
 
+    def test_float_overflow_reported_in_reason(self, tmp_path, capsys):
+        u_file = tmp_path / "u.txt"
+        u_file.write_text("0.6\n0.8\n")
+        out = tmp_path / "moments.csv"
+        code = main(
+            ["moments", "--widths", "2x100", "--p", "0.5", "--u", str(u_file),
+             "--k", "2,6", "--trials", "0", "--output", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert "inf" not in out.read_text() and "nan" not in out.read_text()
+        _, rows = read_csv(out)
+        assert float(rows[0]["exact"]) == pytest.approx(float(rows[0]["brute_force"]), rel=1e-12)
+        assert rows[1]["exact"] == rows[1]["theory"] == ""
+        assert "exact: E[Z^6] on the float route is outside double precision" in rows[1]["reason"]
+        assert "theory: " in rows[1]["reason"]
+
+    def test_k_cap_reported_in_reason(self, tmp_path):
+        out = tmp_path / "moments.csv"
+        assert main(["moments", "--widths", "3,3", "--k", "9", "--trials", "0",
+                     "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert "exact: moment order k=9 exceeds the cap 8" in rows[0]["reason"]
+
 
 class TestDeterminism:
     def test_chi2_check_byte_identical(self, tmp_path):

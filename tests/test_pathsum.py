@@ -8,6 +8,7 @@ import pytest
 from matprod import (
     BudgetExceeded,
     EdgeMultiplicity,
+    FloatRangeError,
     UnitVector,
     VertexTuple,
     brute_force_moment,
@@ -22,7 +23,9 @@ from matprod import (
     verify_path_count,
 )
 from matprod.pathsum import (
+    _shape_transfer,
     falling_factorial,
+    integer_partitions,
     multinomial,
     partition_meet,
     partition_of,
@@ -38,6 +41,25 @@ def enumerate_left_tuples(m: EdgeMultiplicity, ell: int) -> int:
         if EdgeMultiplicity.from_tuples(cand, right, m.n_left, m.n_right) == m:
             count += 1
     return count
+
+
+def gaussian_moment(widths, p, k):
+    """Closed form of E[Z^k] for Gaussian entries, independent of u.
+
+    ||D_i W_i v||^2 is chi-square with K ~ Binomial(n_i, p) degrees of
+    freedom, independently over layers, and E[chi2_K^k] = K(K+2)...(K+2k-2).
+    """
+    p = F(p)
+
+    def layer(n):
+        return sum(
+            math.comb(n, K) * p**K * (1 - p) ** (n - K)
+            * math.prod(K + 2 * j for j in range(k)) / (p * n) ** k
+            for K in range(n + 1)
+        )
+
+    per_width = {n: layer(n) for n in set(widths[1:])}
+    return math.prod((per_width[n] for n in widths[1:]), start=F(1))
 
 
 class TestCombinatorics:
@@ -110,13 +132,6 @@ class TestEdgeWeight:
 
 
 class TestVertexTuple:
-    def test_classification(self):
-        assert VertexTuple((0, 1, 2)).classification == "U"
-        assert VertexTuple((0, 1, 0)).classification == "P"
-        assert VertexTuple((0, 1, 0)).pair == (0, 2)
-        assert VertexTuple((0, 0, 0)).classification == "B"
-        assert VertexTuple((0, 0, 1, 1)).classification == "B"
-
     def test_unique_count(self):
         assert VertexTuple((3, 3, 1)).unique_count == 2
 
@@ -186,17 +201,59 @@ class TestExactMoment:
         for k in range(1, 5):
             assert exact_moment(cfg, UnitVector.basis(2), k) == 1
 
-    def test_enumerate_method_agrees(self, gauss, rad):
+    def test_matches_brute_force_on_random_grid(self, gauss, rad):
+        # the raw-path oracle never collapses tuples to shapes
         rng = np.random.default_rng(2)
-        for _ in range(12):
+        for _ in range(30):
+            k = int(rng.integers(1, 4))
             d = int(rng.integers(1, 3))
-            widths = tuple(int(v) for v in rng.integers(1, 4, d + 1))
+            # k = 3 on a 3x3 layer costs the oracle seconds; keep it narrow
+            widths = tuple(int(v) for v in rng.integers(1, 3 if k == 3 else 4, d + 1))
             law = gauss if rng.random() < 0.5 else rad
             p = 1 if rng.random() < 0.5 else F(1, 2)
-            k = int(rng.integers(1, 3))
+            n0 = widths[0]
+            u = [
+                UnitVector.basis(n0),
+                UnitVector.uniform(n0),
+                UnitVector.from_squares([F(2 * i + 1, n0 * n0) for i in range(n0)]),
+            ][int(rng.integers(0, 3))]
             cfg = make_config(widths, p, law)
-            u = UnitVector.uniform(widths[0]) if rng.random() < 0.5 else UnitVector.basis(widths[0])
-            assert exact_moment(cfg, u, k) == exact_moment(cfg, u, k, method="enumerate")
+            exact = exact_moment(cfg, u, k)
+            brute = brute_force_moment(cfg, u, k)
+            assert isinstance(exact, F) and isinstance(brute, F)
+            assert exact == brute, (widths, law.label, p, u.squares, k)
+
+    def test_gaussian_closed_form(self, gauss):
+        for widths in [(8,) * 6, (8, 3, 5, 8, 2)]:
+            cfg = make_config(widths, F(1, 2), gauss)
+            for k in range(1, 7):
+                got = exact_moment(cfg, UnitVector.basis(widths[0]), k)
+                assert got == gaussian_moment(widths, F(1, 2), k), (widths, k)
+
+    def test_state_count_is_partition_number(self, gauss):
+        for k, count in enumerate([1, 2, 3, 5, 7, 11, 15, 22], start=1):
+            assert len(integer_partitions(k)) == count
+            assert all(sum(shape) == k for shape in integer_partitions(k))
+        for k in range(1, 6):
+            shapes, orbit_sizes, transfer = _shape_transfer(gauss, F(1, 2), k)
+            assert len(shapes) == len(transfer) == len(integer_partitions(k))
+            assert sum(orbit_sizes) == len(set_partitions(k))
+
+    def test_float_route_wide_and_deep(self, gauss):
+        # 120 layers of width 1000: the unnormalised sum would pass 1e1400
+        coords = np.random.default_rng(20181214).standard_normal(1000)
+        u = UnitVector.from_coords(coords / np.sqrt(coords @ coords))
+        widths = (1000,) * 121
+        value = exact_moment(make_config(widths, F(1, 2), gauss), u, 4)
+        assert isinstance(value, float)
+        assert value == pytest.approx(float(gaussian_moment(widths, F(1, 2), 4)), rel=1e-9)
+
+    def test_float_route_overflow_is_an_error(self, gauss):
+        # E[Z^6] here is near 1e420, outside double precision
+        cfg = make_config((2,) * 101, F(1, 2), gauss)
+        with pytest.raises(FloatRangeError):
+            exact_moment(cfg, UnitVector.from_coords([0.6, 0.8]), 6)
+        assert exact_moment(cfg, UnitVector.basis(2), 6) > 10**400
 
     def test_float_coordinates_fall_back_to_float(self, gauss):
         cfg = make_config((2, 2), 1, gauss)
@@ -207,14 +264,16 @@ class TestExactMoment:
         assert value == pytest.approx(2.0, rel=1e-12)
 
     def test_budget_honored(self, gauss):
+        # Bell(2) * p(2) class factors plus depth * p(2)^2 products
         cfg = make_config((3, 3, 3), 1, gauss)
+        assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=12) == F(25, 9)
         with pytest.raises(BudgetExceeded) as err:
-            exact_moment(cfg, UnitVector.uniform(3), 2, method="enumerate", budget=10)
-        assert err.value.estimate > 10
+            exact_moment(cfg, UnitVector.uniform(3), 2, budget=11)
+        assert err.value.estimate == 12
 
     def test_k_cap(self, gauss):
         cfg = make_config((3, 3), 1, gauss)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"^moment order k=9 exceeds the cap 8$"):
             exact_moment(cfg, UnitVector.uniform(3), 9)
 
     def test_asymptotic_consistency_with_beta(self, gauss):
@@ -263,6 +322,14 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_moment(cfg, UnitVector.uniform(8), 2, budget=1000)
 
+    def test_budget_counts_each_transfer_build(self, gauss):
+        # one 64^4-entry transfer, built once at 2k per entry and contracted
+        # at each of 5 layers: over the default budget, refused before any work
+        cfg = make_config((8,) * 6, F(1, 2), gauss)
+        with pytest.raises(BudgetExceeded) as err:
+            brute_force_moment(cfg, UnitVector.basis(8), 2)
+        assert err.value.estimate == (4 + 5) * 64**4
+
     def test_float_mode_close_to_exact(self, gauss):
         cfg = make_config((2, 3), 1, gauss)
         u = UnitVector.from_coords([0.6, 0.8])
@@ -273,33 +340,11 @@ class TestBruteForce:
 
 
 class TestPathEnsemble:
-    def test_length_invariants(self):
-        from matprod import PathEnsemble
-
-        with pytest.raises(ValueError):
-            PathEnsemble((VertexTuple((0, 1)),))
-        with pytest.raises(ValueError):
-            PathEnsemble((VertexTuple((0, 1)), VertexTuple((0,))))
-        ens = PathEnsemble((VertexTuple((0, 1)), VertexTuple((1, 1))))
-        assert ens.tuple_length == 2
-        assert ens.depth == 1
-
-    def test_collision_weight_matches_layer_factors(self, gauss):
-        from matprod import PathEnsemble
-
-        ens = PathEnsemble(
-            (VertexTuple((0, 1)), VertexTuple((1, 1)), VertexTuple((0, 2)))
-        )
-        expected = layer_factor(ens.tuples[0], ens.tuples[1], gauss, F(1, 2)) * layer_factor(
-            ens.tuples[1], ens.tuples[2], gauss, F(1, 2)
-        )
-        assert ens.collision_weight(gauss, F(1, 2)) == expected
+    """Sequences of vertex tuples, one per layer, weighted by layer factors."""
 
     def test_full_enumeration_reproduces_exact_moment(self, rad):
-        # summing squared-input mass times collision weight over every
-        # ensemble is the raw definition of the normalized moment
-        from matprod import PathEnsemble
-
+        # summing squared-input mass times the product of the layer factors
+        # over every tuple sequence is the raw definition of the moment
         widths, p, k = (2, 3, 2), F(1, 2), 2
         cfg = make_config(widths, p, rad)
         u = UnitVector.uniform(2)
@@ -307,9 +352,11 @@ class TestPathEnsemble:
         for seq in itertools.product(
             *(itertools.product(range(n), repeat=k) for n in widths)
         ):
-            ens = PathEnsemble(tuple(VertexTuple(t) for t in seq))
-            mass = math.prod(u.squares[a] for a in seq[0])
-            total += mass * ens.collision_weight(rad, p)
+            tuples = [VertexTuple(t) for t in seq]
+            weight = math.prod(
+                (layer_factor(a, b, rad, p) for a, b in zip(tuples, tuples[1:])), start=F(1)
+            )
+            total += math.prod(u.squares[a] for a in seq[0]) * weight
         total /= math.prod(n**k for n in widths[1:])
         assert total == exact_moment(cfg, u, k)
 
@@ -323,6 +370,10 @@ class TestTheoryMoment:
 
     def test_beta_zero(self):
         assert theory_moment(0.0, 5) == 1.0
+
+    def test_overflow_is_an_error(self):
+        with pytest.raises(FloatRangeError):
+            theory_moment(250.0, 6)
 
     def test_accepts_beta_params(self, gauss):
         cfg = make_config((4, 4), 1, gauss)
