@@ -20,6 +20,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +49,12 @@ from .montecarlo import (
     run_trials,
 )
 from .pathsum import brute_force_moment, exact_moment, theory_moment
-from .relunets import ReluNetConfig, compare_jacobian_vs_product, default_input
+from .relunets import (
+    COMPARISON_MIN_TRIALS,
+    ReluNetConfig,
+    compare_jacobian_vs_product,
+    default_input,
+)
 
 _SUBCOMMANDS = (
     "beta",
@@ -285,6 +291,12 @@ def parse_config(argv, config_file: str | None = None) -> ExperimentConfig:
     fmt = values["format"]
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
+    try:
+        bias_scale = float(values["bias_scale"])
+    except (TypeError, ValueError):
+        raise UsageError(f"--bias-scale must be a number, got {values['bias_scale']!r}") from None
+    if not bias_scale > 0.0:
+        raise UsageError(f"--bias-scale must be positive, got {values['bias_scale']!r}")
 
     return ExperimentConfig(
         subcommand=values["subcommand"],
@@ -302,7 +314,7 @@ def parse_config(argv, config_file: str | None = None) -> ExperimentConfig:
         tolerance=values.get("tolerance"),
         threads=values.get("threads"),
         product_p=parse_probability(values.get("product_p", "0.5"), "--product-p"),
-        bias_scale=float(values.get("bias_scale", 1.0)),
+        bias_scale=bias_scale,
         x=str(values.get("x", "ones")),
     )
 
@@ -320,6 +332,16 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
+
+
+def _checked_double(value, k: int):
+    """The k-th moment unchanged, or FloatRangeError if it has no finite double."""
+    try:
+        float(value)
+    except OverflowError:
+        exponent = math.floor(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        raise FloatRangeError(f"E[Z^{k}] ~ 1e{exponent} is outside double precision") from None
+    return value
 
 
 def _write_rows(config: ExperimentConfig, columns, rows) -> str:
@@ -445,12 +467,12 @@ def _run_moments(config: ExperimentConfig):
         reasons = []
         exact = brute = theory = None
         try:
-            exact = exact_moment(ens, u, k)
+            exact = _checked_double(exact_moment(ens, u, k), k)
         except (BudgetExceeded, FloatRangeError) as exc:
             reasons.append(f"exact: {exc}")
         try:
-            brute = brute_force_moment(ens, u, k)
-        except BudgetExceeded as exc:
+            brute = _checked_double(brute_force_moment(ens, u, k), k)
+        except (BudgetExceeded, FloatRangeError) as exc:
             reasons.append(f"brute_force: {exc}")
         try:
             theory = theory_moment(params, k)
@@ -546,6 +568,10 @@ def _run_chi2_check(config: ExperimentConfig):
 
 
 def _run_jacobian_compare(config: ExperimentConfig):
+    if config.trials < COMPARISON_MIN_TRIALS:
+        raise UsageError(
+            f"jacobian-compare needs --trials >= {COMPARISON_MIN_TRIALS}, got {config.trials}"
+        )
     law = resolve_law(config)
     if not law.atomless:
         raise UsageError("jacobian-compare needs an atomless --dist")

@@ -5,12 +5,26 @@ Stream discipline
 Trials are processed in fixed blocks of ``CHUNK`` consecutive trial indices.
 Block c draws from a dedicated generator seeded by hashing
 ``(seed, domain, c)`` through numpy's SeedSequence, and consumes randomness
-in a fixed order: for each layer, the mask uniforms for every trial of the
-block, then the full weight block.  A trial's outcome is therefore a pure
-function of (seed, config, trial index) — independent of how many trials were
-requested, of the trial window, and of how blocks are scheduled across
-threads.  Results are reduced by sorting, so any thread count produces the
-same batch.
+in a fixed order set by its domain:
+
+``DOMAIN_PRODUCT``
+    the masked product (``run_trials``): for each layer, the mask uniforms
+    for every trial of the block, then the full weight block;
+``DOMAIN_CHI2``
+    the chi-square product law: for each width, the block's normals or
+    gamma variates;
+``DOMAIN_NET_BLOCKS``
+    ReLU-net Jacobians (``relunets.jacobian_batch``): for each layer, the
+    full weight block, then the bias block.
+
+``DOMAIN_NETS`` is not a block domain: ``relunets.sample_network`` seeds one
+generator per single network with ``(seed, DOMAIN_NETS, trial index)``, so it
+never shares a stream with a Jacobian block.
+
+A trial's outcome is therefore a pure function of (seed, config, trial
+index) — independent of how many trials were requested, of the trial window,
+and of how blocks are scheduled across threads.  Results are reduced by
+sorting, so any thread count produces the same batch.
 
 Dead trials (zero events) keep consuming their share of draws, which keeps
 stream consumption outcome-independent.
@@ -30,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleConfig, UnitVector
-from .errors import EmptyBatch, InsufficientSamples
+from .errors import EmptyBatch, InsufficientSamples, UsageError
 from .ksstats import normal_cdf, one_sample_ks
 
 CHUNK = 256
@@ -39,6 +53,7 @@ CHUNK = 256
 DOMAIN_PRODUCT = 1
 DOMAIN_CHI2 = 2
 DOMAIN_NETS = 3
+DOMAIN_NET_BLOCKS = 4
 
 # Chi-square draws: exact sum of squared normals up to this dof, gamma
 # rejection sampling above it.
@@ -50,7 +65,10 @@ def resolve_threads(threads: int | None = None) -> int:
         return max(1, int(threads))
     env = os.environ.get("MATPROD_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"MATPROD_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -114,15 +132,26 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
         weights = law.sample(rng, (CHUNK, n, m))
         v = np.matmul(weights, u[:, :, None])[:, :, 0]
         v *= mask
-        # normalize the squared norm, not the vector: exactly representable
-        # norms stay exact through the log
-        raw_sq = np.einsum("ci,ci->c", v, v)
-        alive &= raw_sq > 0.0
-        safe = np.where(alive, raw_sq, 1.0)
-        logs += np.where(alive, np.log(safe / (p * n)), 0.0)
-        u = v / np.sqrt(safe)[:, None]
-        u[~alive] = 0.0
+        u = _renormalize(v, p * n, logs, alive)
     return logs, alive
+
+
+def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndarray):
+    """One layer of the log accumulator for a block of propagated vectors.
+
+    Adds ``log(||v||^2 / divisor)`` to ``logs`` and clears ``alive`` where v
+    vanished, both in place; returns the rows of v scaled to unit norm, dead
+    rows zeroed.
+    """
+    # normalize the squared norm, not the vector: exactly representable
+    # norms stay exact through the log
+    raw_sq = np.einsum("ci,ci->c", v, v)
+    alive &= raw_sq > 0.0
+    safe = np.where(alive, raw_sq, 1.0)
+    logs += np.where(alive, np.log(safe / divisor), 0.0)
+    u = v / np.sqrt(safe)[:, None]
+    u[~alive] = 0.0
+    return u
 
 
 def _collect_chunks(

@@ -28,7 +28,8 @@ Two independent evaluation routes are provided:
     assignment outright and averages the resulting norm powers.
 
 Both routes fail fast with ``BudgetExceeded`` when their documented cost
-model exceeds the evaluation budget.
+model exceeds the evaluation budget: ``DEFAULT_BUDGET`` for the engine,
+``PATHS_BUDGET`` for the raw-path oracle, whose unit of work costs more.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .ensemble import BetaParams, EnsembleConfig, UnitVector
 from .errors import BudgetExceeded, DimensionMismatch, FloatRangeError
 
 DEFAULT_BUDGET = 10**8
+# A raw-path unit costs about 1.6-2 us (widths 3-5, k = 2-3), so this admits
+# about 20 s of brute-force path summation.
+PATHS_BUDGET = 10**7
 DEFAULT_K_CAP = 8
 
 
@@ -545,7 +549,7 @@ def brute_force_moment(
     u: UnitVector,
     k: int,
     method: str = "paths",
-    budget: int = DEFAULT_BUDGET,
+    budget: int | None = None,
     k_cap: int = DEFAULT_K_CAP,
 ) -> Fraction | float:
     """k-th normalized moment without the k-tuple path collapse.
@@ -556,9 +560,12 @@ def brute_force_moment(
     the 2k edges), plus (n_{i-1} n_i)^{2k} per layer to contract it.
     method "assignments": full enumeration of weight/mask realizations,
     available for discrete laws on tiny instances.
+    ``budget`` defaults to ``PATHS_BUDGET`` for "paths" and to
+    ``DEFAULT_BUDGET`` for "assignments".
     """
     _moment_preflight(config, u, k, k_cap)
     if method == "paths":
+        budget = PATHS_BUDGET if budget is None else budget
         pairs = list(zip(config.widths, config.widths[1:]))
         entries = {pair: (pair[0] * pair[1]) ** (2 * k) for pair in pairs}
         cost = 2 * k * sum(entries.values()) + sum(entries[pair] for pair in pairs)
@@ -566,7 +573,7 @@ def brute_force_moment(
             raise BudgetExceeded(cost, budget, what="raw path summation")
         return _bf_paths_moment(config, u, k)
     if method == "assignments":
-        return _assignment_moment(config, u, k, budget)
+        return _assignment_moment(config, u, k, DEFAULT_BUDGET if budget is None else budget)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -7,10 +7,14 @@ input is the product of the per-layer matrices masked by the open-neuron
 pattern, and its squared norm applied to a fixed unit vector is distributed
 exactly like the masked matrix product ensemble at mask probability 1/2.
 
-The statistical path never materializes the Jacobian: it propagates a single
-vector through the masked layers with the same renormalize-and-accumulate
-discipline as the ensemble sampler.  A dense-matrix variant exists for the
-finite-difference check at tiny sizes.
+The statistical path (``jacobian_batch``) never materializes the Jacobian.
+It draws networks in blocks of ``CHUNK`` on the ensemble sampler's block
+engine, and for each block propagates the inputs and the tangent vectors of
+all its networks at once through the masked layers, with the same
+renormalize-and-accumulate step as the ensemble sampler; blocks run on worker
+threads and the batch does not depend on their number.  ``sample_network``
+and ``jacobian_log_norm`` do the same for one network, and a dense-matrix
+variant exists for the finite-difference check at tiny sizes.
 """
 
 from __future__ import annotations
@@ -33,7 +37,19 @@ from .ensemble import (
 )
 from .errors import AtomicLawError, DimensionMismatch
 from .ksstats import KSReport, two_sample_ks
-from .montecarlo import DOMAIN_NETS, SampleBatch, chunk_stream, run_trials
+from .montecarlo import (
+    CHUNK,
+    DOMAIN_NET_BLOCKS,
+    DOMAIN_NETS,
+    SampleBatch,
+    _collect_chunks,
+    _renormalize,
+    chunk_stream,
+    run_trials,
+)
+
+# Fewest trials per side that compare_jacobian_vs_product accepts.
+COMPARISON_MIN_TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -210,43 +226,71 @@ class JacobianComparison:
     ks: KSReport
 
 
+def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.random.Generator):
+    """Jacobian log-norms of one block of CHUNK networks; returns (logs, alive).
+
+    Per layer the block draws its (CHUNK, n, m) weights, then its (CHUNK, n)
+    biases: the order of ``sample_network``, one layer of every network at a
+    time.
+    """
+    widths = cfg.widths
+    h = np.broadcast_to(x, (CHUNK, widths[0]))
+    v = np.broadcast_to(u0, (CHUNK, widths[0]))
+    logs = np.zeros(CHUNK)
+    alive = np.ones(CHUNK, dtype=bool)
+    for i in range(1, len(widths)):
+        n, m = widths[i], widths[i - 1]
+        w = cfg.weight_law.sample(rng, (CHUNK, n, m))
+        w *= math.sqrt(2.0 / m)
+        b = cfg.effective_bias_law.sample(rng, (CHUNK, n)) * cfg.bias_scale
+        pre = np.matmul(w, h[:, :, None])[:, :, 0] + b
+        v = np.matmul(w, v[:, :, None])[:, :, 0] * (pre > 0.0)
+        h = relu(pre)
+        v = _renormalize(v, n / m, logs, alive)
+    return logs, alive
+
+
 def jacobian_batch(
     config: ReluNetConfig,
     trials: int,
     seed: int | None = None,
     x=None,
     u: UnitVector | None = None,
+    threads: int | None = None,
 ) -> SampleBatch:
-    """Jacobian log-norm samples over independently drawn networks."""
+    """Jacobian log-norm samples over independently drawn networks.
+
+    Block c of CHUNK networks draws from ``chunk_stream(seed,
+    DOMAIN_NET_BLOCKS, c)``; zero events are counted, and the batch is the
+    same for any thread count.
+    """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     widths = config.widths
-    if x is None:
-        x = default_input(widths[0])
+    x = default_input(widths[0]) if x is None else np.asarray(x, dtype=np.float64)
+    if x.shape != (widths[0],):
+        raise DimensionMismatch(f"input has shape {x.shape}, network expects ({widths[0]},)")
+    if not np.any(x):
+        raise ValueError("evaluation input must be nonzero")
     if u is None:
         u = UnitVector.uniform(widths[0])
+    if u.dim != widths[0]:
+        raise DimensionMismatch(f"u has dim {u.dim}, network expects {widths[0]}")
     if seed is None:
         seed = config.seed
-    cfg = ReluNetConfig(
-        architecture=config.architecture,
-        weight_law=config.weight_law,
-        bias_law=config.bias_law,
-        bias_scale=config.bias_scale,
-        seed=seed,
-    )
-    values = []
-    zero_events = 0
-    for t in range(trials):
-        net = sample_network(cfg, t)
-        sample = jacobian_log_norm(net, x, u)
-        if sample is None:
-            zero_events += 1
-        else:
-            values.append(sample)
+    u0 = u.coords
+
+    def chunk_fn(index: int):
+        rng = chunk_stream(seed, DOMAIN_NET_BLOCKS, index)
+        return _jacobian_chunk(config, x, u0, rng)
+
+    samples, zero_events = _collect_chunks(trials, 0, threads, chunk_fn)
     return SampleBatch(
-        samples=np.sort(np.asarray(values)),
+        samples=samples,
         zero_event_count=zero_events,
         trials=trials,
         seed=seed,
-        fingerprint=cfg.fingerprint(),
+        fingerprint=config.fingerprint(),
     )
 
 
@@ -265,12 +309,12 @@ def compare_jacobian_vs_product(
     and entry law; ``product_p`` defaults to the matching 1/2 and can be set
     elsewhere as a negative control.
     """
-    if trials < 100:
-        raise ValueError("comparison needs at least 100 trials per side")
+    if trials < COMPARISON_MIN_TRIALS:
+        raise ValueError(f"comparison needs at least {COMPARISON_MIN_TRIALS} trials per side")
     widths = config.widths
     if u is None:
         u = UnitVector.uniform(widths[0])
-    jac = jacobian_batch(config, trials, seed=seed, x=x, u=u)
+    jac = jacobian_batch(config, trials, seed=seed, x=x, u=u, threads=threads)
     ensemble: EnsembleConfig = make_config(widths, Fraction(product_p), config.weight_law)
     product = run_trials(ensemble, u, trials, seed, threads=threads)
     report = two_sample_ks(jac.samples, product.samples)

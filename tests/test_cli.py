@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matprod
 from matprod.cli import main, parse_config, parse_widths
 from matprod.errors import UsageError
 
@@ -56,6 +61,30 @@ class TestParsing:
 
     def test_unreadable_config_file(self, capsys):
         assert main(["beta", "--config", "/nonexistent.json", "--widths", "2,2"]) == 2
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--bias-scale", "-1"], {}),
+            (["--trials", "50"], {}),
+            ([], {"MATPROD_THREADS": "x"}),
+        ],
+        ids=["negative-bias-scale", "too-few-trials", "bad-threads-env"],
+    )
+    def test_jacobian_compare_bad_input_exits_2(self, flags, env):
+        src = str(Path(matprod.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "matprod.cli", "jacobian-compare", "--widths", "4,4",
+             "--trials", "200", *flags],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, **env},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("matprod: error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestBetaCommand:
@@ -117,6 +146,33 @@ class TestMomentsCommand:
         assert rows[1]["exact"] == rows[1]["theory"] == ""
         assert "exact: E[Z^6] on the float route is outside double precision" in rows[1]["reason"]
         assert "theory: " in rows[1]["reason"]
+
+    def test_exact_rational_outside_double_range(self, tmp_path, capsys):
+        out = tmp_path / "moments.csv"
+        code = main(
+            ["moments", "--widths", "2x100", "--p", "0.5", "--u", "e1", "--k", "6",
+             "--trials", "0", "--output", str(out)]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert rows[0]["exact"] == ""
+        assert "exact: E[Z^6] ~ 1e422 is outside double precision" in rows[0]["reason"]
+
+    def test_brute_force_paths_budget_refuses_at_once(self, tmp_path):
+        out = tmp_path / "moments.csv"
+        code = main(
+            ["moments", "--widths", "8,8", "--p", "0.5", "--u", "e1", "--k", "2",
+             "--trials", "0", "--output", str(out)]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert float(rows[0]["exact"]) == 1.625
+        assert rows[0]["brute_force"] == ""
+        assert (
+            "brute_force: raw path summation needs ~83886080 elementary evaluations, "
+            "budget is 10000000" in rows[0]["reason"]
+        )
 
     def test_k_cap_reported_in_reason(self, tmp_path):
         out = tmp_path / "moments.csv"

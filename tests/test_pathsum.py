@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction as F
@@ -23,6 +24,8 @@ from matprod import (
     verify_path_count,
 )
 from matprod.pathsum import (
+    DEFAULT_BUDGET,
+    PATHS_BUDGET,
     _shape_transfer,
     falling_factorial,
     integer_partitions,
@@ -329,6 +332,32 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded) as err:
             brute_force_moment(cfg, UnitVector.basis(8), 2)
         assert err.value.estimate == (4 + 5) * 64**4
+
+    def test_paths_budget_is_its_own(self, gauss):
+        # one 64^4-entry transfer (2k per entry to build, one layer to contract):
+        # about 2 minutes of raw-path work, refused before any of it
+        cfg = make_config((8, 8), F(1, 2), gauss)
+        u = UnitVector.basis(8)
+        with pytest.raises(BudgetExceeded) as err:
+            brute_force_moment(cfg, u, 2)
+        assert err.value.estimate == 5 * 64**4
+        assert err.value.budget == PATHS_BUDGET < DEFAULT_BUDGET
+        assert inspect.signature(exact_moment).parameters["budget"].default == DEFAULT_BUDGET
+        assert exact_moment(cfg, u, 2) == F(13, 8)  # (8 * 3/2 + 56 * 1/4) / 16
+
+    @pytest.mark.parametrize(
+        "widths, law_name, p, u_name, k",
+        [
+            ((3, 3, 3, 3), "gauss", F(1, 2), "uniform", 2),  # largest criterion 1 case
+            ((3, 2, 3, 2), "rad", F(1, 2), "uniform", 1),  # benchmark inputs
+            ((3, 2, 3, 2), "rad", F(1, 2), "uniform", 2),
+            ((8,) * 6, "gauss", F(1, 2), "e1", 1),
+        ],
+    )
+    def test_paths_budget_admits_oracle_cases(self, widths, law_name, p, u_name, k, request):
+        cfg = make_config(widths, p, request.getfixturevalue(law_name))
+        u = UnitVector.basis(widths[0]) if u_name == "e1" else UnitVector.uniform(widths[0])
+        assert brute_force_moment(cfg, u, k) == exact_moment(cfg, u, k)
 
     def test_float_mode_close_to_exact(self, gauss):
         cfg = make_config((2, 3), 1, gauss)

@@ -16,11 +16,20 @@ from matprod import (
     forward,
     jacobian_log_norm,
     jacobian_matrix,
+    make_config,
     rademacher,
     sample_network,
     two_sample_ks,
+    zero_event_probability,
 )
-from matprod.relunets import apply_network, default_input, jacobian_batch, relu
+from matprod.montecarlo import CHUNK, DOMAIN_NET_BLOCKS, chunk_stream
+from matprod.relunets import (
+    _jacobian_chunk,
+    apply_network,
+    default_input,
+    jacobian_batch,
+    relu,
+)
 
 
 def tiny_config(gauss, widths=(5, 6, 4, 3), seed=42, bias_scale=1.0):
@@ -138,6 +147,61 @@ class TestJacobian:
         rate = opens / neurons
         se = math.sqrt(0.25 / neurons)
         assert abs(rate - 0.5) <= 5 * se
+
+
+class TestBlockEngine:
+    def test_every_trial_matches_its_single_network(self, gauss, unif):
+        widths = (5, 6, 4, 3)
+        cfg = ReluNetConfig(
+            architecture=Architecture(widths), weight_law=gauss, bias_law=unif, bias_scale=0.5
+        )
+        x, u = default_input(5), UnitVector.uniform(5)
+        logs, alive = _jacobian_chunk(cfg, x, u.coords, chunk_stream(42, DOMAIN_NET_BLOCKS, 0))
+        # replay the block's draws: per layer the weight block, then the bias block
+        rng = chunk_stream(42, DOMAIN_NET_BLOCKS, 0)
+        weights, biases = [], []
+        for m, n in zip(widths, widths[1:]):
+            weights.append(gauss.sample(rng, (CHUNK, n, m)) * math.sqrt(2 / m))
+            biases.append(unif.sample(rng, (CHUNK, n)) * 0.5)
+        dead = 0
+        for t in range(CHUNK):
+            net = ReluNet(weights=tuple(w[t] for w in weights), biases=tuple(b[t] for b in biases))
+            value = jacobian_log_norm(net, x, u)
+            ju = jacobian_matrix(net, x).matrix @ u.coords
+            sq = float(ju @ ju)
+            if value is None:
+                assert not alive[t] and sq == 0.0
+                dead += 1
+            else:
+                assert alive[t]
+                assert logs[t] == pytest.approx(value, rel=1e-12)
+                assert logs[t] == pytest.approx(math.log(5 / 3 * sq), rel=1e-10)
+        assert 0 < dead < CHUNK
+
+    def test_thread_count_does_not_change_batch(self, gauss):
+        cfg = tiny_config(gauss, widths=(6, 8, 8, 8, 8))
+        first, *rest = [jacobian_batch(cfg, 1000, seed=9, threads=t) for t in (1, 2, 3)]
+        assert first.zero_event_count > 0
+        for batch in rest:
+            assert np.array_equal(batch.samples, first.samples)
+            assert batch.zero_event_count == first.zero_event_count
+
+    def test_zero_event_rate(self, gauss):
+        widths = (3, 3, 3, 3, 3)
+        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, seed=1210)
+        n = 20_000
+        batch = jacobian_batch(cfg, n)
+        q = zero_event_probability(make_config(widths, F(1, 2), gauss)).probability
+        assert abs(batch.zero_event_rate - q) <= 4 * math.sqrt(q * (1 - q) / n)
+
+    def test_input_checks(self, gauss):
+        cfg = tiny_config(gauss)
+        with pytest.raises(ValueError):
+            jacobian_batch(cfg, 10, x=np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            jacobian_batch(cfg, 10, u=UnitVector.uniform(4))
+        with pytest.raises(DimensionMismatch):
+            jacobian_batch(cfg, 10, x=np.ones(4))
 
 
 class TestEvgpBeta:
