@@ -24,16 +24,12 @@ from .ensemble import (
     BetaParams,
     EnsembleConfig,
     ErrorBudget,
-    LayerState,
     UnitVector,
     ZeroEventEstimate,
     compute_beta,
     error_budget,
-    initial_state,
     make_config,
     predict_layer_variance,
-    propagate_layer,
-    sample_log_norm,
     zero_event_probability,
 )
 from .errors import (

@@ -9,8 +9,11 @@ ks-test           one-sample KS of a batch against its predicted normal law
 chi2-check        product sampler against the chi-square product law (p=1 Gaussian)
 jacobian-compare  ReLU-net Jacobian law against the masked product law
 
-Flags override config-file values; every run with the same config and seed
-writes byte-identical output for any MATPROD_THREADS setting.
+Flags override config-file values.  Config-file keys are flag names, and
+every value, flag or file entry, goes through that flag's one converter, so
+a bad value or an unknown key is a usage error (exit 2).  Every run with the
+same config and seed writes byte-identical output for any MATPROD_THREADS
+setting.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .distributions import (
     law_from_name,
 )
 from .ensemble import (
-    Architecture,
     UnitVector,
     compute_beta,
     error_budget,
@@ -65,33 +67,22 @@ _SUBCOMMANDS = (
     "jacobian-compare",
 )
 
-DEFAULTS = {
-    "trials": 100_000,
-    "seed": 0,
-    "u": "uniform",
-    "format": "csv",
-    "p": "1",
-    "dist": "gaussian",
-    "k": "1,2",
-    "product_p": "0.5",
-    "bias_scale": 1.0,
-    "x": "ones",
-}
-
 
 @dataclass
 class ExperimentConfig:
+    """One run's settings; the field defaults are the CLI defaults."""
+
     subcommand: str
     widths: tuple[int, ...]
-    p: Fraction
-    dist: str
-    dist_pairs: str | None
-    u: str
-    trials: int
-    seed: int
-    k: tuple[int, ...]
-    output: str | None
-    format: str
+    p: Fraction = Fraction(1)
+    dist: str = "gaussian"
+    dist_pairs: str | None = None
+    u: str = "uniform"
+    trials: int = 100_000
+    seed: int = 0
+    k: tuple[int, ...] = (1, 2)
+    output: str | None = None
+    format: str = "csv"
     assert_checks: bool = False
     tolerance: float | None = None
     threads: int | None = None
@@ -169,6 +160,86 @@ def parse_k_list(text) -> tuple[int, ...]:
     return ks
 
 
+def _integer(flag: str, minimum: int):
+    """Converter to an int >= minimum, from flag text or a JSON integer."""
+
+    def convert(value) -> int:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                n = int(value)
+            except ValueError:
+                pass
+            else:
+                if n < minimum:
+                    raise UsageError(f"{flag} must be >= {minimum}, got {n}")
+                return n
+        raise UsageError(f"{flag} must be an integer, got {value!r}")
+
+    return convert
+
+
+def _real(flag: str, positive: bool = False):
+    """Converter to a float (> 0 if positive), from flag text or a JSON number."""
+
+    def convert(value) -> float:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                x = float(value)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                if positive and not x > 0.0:
+                    raise UsageError(f"{flag} must be positive, got {value!r}")
+                return x
+        raise UsageError(f"{flag} must be a number, got {value!r}")
+
+    return convert
+
+
+def _output_format(value) -> str:
+    if value not in ("csv", "json"):
+        raise UsageError(f"--format must be csv or json, got {value!r}")
+    return value
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise UsageError(f"--assert takes true or false in a config file, got {value!r}")
+    return value
+
+
+def _optional(convert):
+    """A converter that keeps a config file's null as "not given"."""
+    return lambda value: None if value is None else convert(value)
+
+
+# flag -> (ExperimentConfig field, converter, help).  Flag values arrive as
+# text and config-file values as JSON; both pass through the same converter.
+_OPTIONS = {
+    "--widths": ("widths", parse_widths, "comma list, NxD appends D copies of N"),
+    "--p": ("p", parse_probability, "mask probability in (0,1]"),
+    "--dist": ("dist", str, "gaussian | rademacher | uniform | discrete"),
+    "--dist-pairs": ("dist_pairs", _optional(str), "value:prob,... for --dist discrete"),
+    "--u": ("u", str, "e1 | uniform | coordinate file"),
+    "--trials": ("trials", _integer("--trials", 0), None),
+    "--seed": ("seed", _integer("--seed", 0), None),
+    "--k": ("k", parse_k_list, "comma list of moment orders"),
+    "--output": ("output", _optional(str), "output path (default stdout)"),
+    "--format": ("format", _output_format, "csv | json"),
+    "--assert": ("assert_checks", _switch, "exit 1 when the subcommand's check fails"),
+    "--tolerance": ("tolerance", _optional(_real("--tolerance")),
+                    "override the --assert threshold"),
+    "--threads": ("threads", _optional(_integer("--threads", 1)),
+                  "worker threads (default MATPROD_THREADS)"),
+    "--product-p": ("product_p", lambda v: parse_probability(v, "--product-p"),
+                    "mask probability of the product side"),
+    "--bias-scale": ("bias_scale", _real("--bias-scale", positive=True), None),
+    "--x": ("x", str, "ones | e1 | coordinate file"),
+}
+_JACOBIAN_ONLY = ("--product-p", "--bias-scale", "--x")
+_CONVERTERS = {field: convert for field, convert, _ in _OPTIONS.values()}
+
+
 def resolve_law(config: ExperimentConfig) -> DistributionSpec:
     if config.dist == "discrete":
         if not config.dist_pairs:
@@ -192,20 +263,31 @@ def resolve_law(config: ExperimentConfig) -> DistributionSpec:
         ) from None
 
 
+def _load_coords(spec: str, dim: int, flag: str, names: str) -> np.ndarray:
+    """The coordinates in file spec: dim finite numbers, not all zero."""
+    try:
+        coords = np.loadtxt(spec, dtype=np.float64).reshape(-1)
+    except (OSError, ValueError):
+        raise UsageError(
+            f"{flag} must be {names}, or a readable coordinate file; got {spec!r}"
+        ) from None
+    if coords.size != dim:
+        raise UsageError(f"{flag} file has {coords.size} coordinates, architecture needs {dim}")
+    if not (np.all(np.isfinite(coords)) and np.any(coords)):
+        raise UsageError(f"{flag} file must hold finite coordinates, not all zero")
+    return coords
+
+
 def resolve_u(spec: str, dim: int) -> UnitVector:
     if spec == "e1":
         return UnitVector.basis(dim)
     if spec == "uniform":
         return UnitVector.uniform(dim)
-    try:
-        coords = np.loadtxt(spec, dtype=np.float64).reshape(-1)
-    except OSError:
-        raise UsageError(f"--u must be e1, uniform, or a readable file; got {spec!r}") from None
-    if coords.size != dim:
-        raise UsageError(f"--u file has {coords.size} coordinates, architecture needs {dim}")
-    nrm = float(np.sqrt(coords @ coords))
-    if nrm == 0.0:
-        raise UsageError("--u file holds the zero vector")
+    coords = _load_coords(spec, dim, "--u", "e1, uniform")
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = float(np.sqrt(coords @ coords))
+    if not 0.0 < nrm < math.inf:
+        raise UsageError(f"--u file norm {nrm} is outside double precision")
     return UnitVector.from_coords(coords / nrm)
 
 
@@ -216,15 +298,7 @@ def resolve_x(spec: str, dim: int) -> np.ndarray:
         x = np.zeros(dim)
         x[0] = 1.0
         return x
-    try:
-        x = np.loadtxt(spec, dtype=np.float64).reshape(-1)
-    except OSError:
-        raise UsageError(f"--x must be ones, e1, or a readable file; got {spec!r}") from None
-    if x.size != dim:
-        raise UsageError(f"--x file has {x.size} coordinates, architecture needs {dim}")
-    if not np.any(x):
-        raise UsageError("--x must be nonzero")
-    return x
+    return _load_coords(spec, dim, "--x", "ones, e1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,85 +311,47 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _SUBCOMMANDS:
         sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON file with flag defaults")
-        sp.add_argument("--widths", help="comma list, NxD appends D copies of N")
-        sp.add_argument("--p", help="mask probability in (0,1]")
-        sp.add_argument("--dist", help="gaussian | rademacher | uniform | discrete")
-        sp.add_argument("--dist-pairs", dest="dist_pairs", help="value:prob,... for --dist discrete")
-        sp.add_argument("--u", help="e1 | uniform | coordinate file")
-        sp.add_argument("--trials", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--k", help="comma list of moment orders")
-        sp.add_argument("--output", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--assert", dest="assert_checks", action="store_true",
-                        help="exit 1 when the subcommand's check fails")
-        sp.add_argument("--tolerance", type=float, help="override the --assert threshold")
-        sp.add_argument("--threads", type=int, help="worker threads (default MATPROD_THREADS)")
-        if name == "jacobian-compare":
-            sp.add_argument("--product-p", dest="product_p", help="mask probability of the product side")
-            sp.add_argument("--bias-scale", dest="bias_scale", type=float)
-            sp.add_argument("--x", help="ones | e1 | coordinate file")
+        for flag, (field, _, help_text) in _OPTIONS.items():
+            if flag in _JACOBIAN_ONLY and name != "jacobian-compare":
+                continue
+            action = "store_true" if flag == "--assert" else "store"
+            sp.add_argument(flag, dest=field, action=action, help=help_text)
     return parser
+
+
+def _read_config_file(path: str) -> dict:
+    """The file's entries keyed by ExperimentConfig field; keys are flag names."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"--config {path!r} unreadable: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise UsageError(f"--config {path!r} must hold a JSON object")
+    values = {}
+    for key, value in loaded.items():
+        option = _OPTIONS.get("--" + key.replace("_", "-"))
+        if option is None:
+            raise UsageError(f"--config {path!r} has unknown key {key!r}")
+        values[option[0]] = value
+    return values
 
 
 def parse_config(argv, config_file: str | None = None) -> ExperimentConfig:
     """Parse flags (and an optional JSON config file) into an ExperimentConfig.
 
     Precedence: command-line flags, then config-file entries, then defaults.
+    Each given value, flag or file entry, passes through its flag's converter.
     """
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    values = dict(DEFAULTS)
-    explicit = {k: v for k, v in vars(namespace).items() if k != "config"}
-    file_path = getattr(namespace, "config", None) or config_file
+    values = vars(_build_parser().parse_args(argv))
+    subcommand = values.pop("subcommand")
+    file_path = values.pop("config", None) or config_file
     if file_path:
-        try:
-            with open(file_path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"--config {file_path!r} unreadable: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError(f"--config {file_path!r} must hold a JSON object")
-        for key, val in loaded.items():
-            values[key.replace("-", "_")] = val
-    values.update(explicit)
-
-    if "widths" not in values or values["widths"] in (None, ""):
+        values = {**_read_config_file(file_path), **values}
+    if values.get("widths") in (None, ""):
         raise UsageError("--widths is required")
-    try:
-        trials = int(values["trials"])
-    except (TypeError, ValueError):
-        raise UsageError(f"--trials must be an integer, got {values['trials']!r}") from None
-    if trials < 0:
-        raise UsageError(f"--trials must be >= 0, got {trials}")
-    fmt = values["format"]
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {fmt!r}")
-    try:
-        bias_scale = float(values["bias_scale"])
-    except (TypeError, ValueError):
-        raise UsageError(f"--bias-scale must be a number, got {values['bias_scale']!r}") from None
-    if not bias_scale > 0.0:
-        raise UsageError(f"--bias-scale must be positive, got {values['bias_scale']!r}")
-
     return ExperimentConfig(
-        subcommand=values["subcommand"],
-        widths=parse_widths(values["widths"]),
-        p=parse_probability(values["p"], "--p"),
-        dist=str(values["dist"]),
-        dist_pairs=values.get("dist_pairs"),
-        u=str(values["u"]),
-        trials=trials,
-        seed=int(values["seed"]),
-        k=parse_k_list(values["k"]),
-        output=values.get("output"),
-        format=fmt,
-        assert_checks=bool(values.get("assert_checks", False)),
-        tolerance=values.get("tolerance"),
-        threads=values.get("threads"),
-        product_p=parse_probability(values.get("product_p", "0.5"), "--product-p"),
-        bias_scale=bias_scale,
-        x=str(values.get("x", "ones")),
+        subcommand, **{field: _CONVERTERS[field](value) for field, value in values.items()}
     )
 
 
@@ -332,6 +368,20 @@ def _fmt(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     return str(value)
+
+
+def _json_value(value) -> str:
+    """The _fmt text as JSON: null, a bare number or boolean, or a string.
+
+    JSON has no literal for a non-finite float, so it keeps its CSV text
+    ("inf", "-inf", "nan") as a string.
+    """
+    if value is None:
+        return "null"
+    text = _fmt(value)
+    if isinstance(value, str) or text in ("inf", "-inf", "nan"):
+        return json.dumps(text)
+    return text
 
 
 def _checked_double(value, k: int):
@@ -365,21 +415,8 @@ def _write_rows(config: ExperimentConfig, columns, rows) -> str:
         )
     ]
     for row in rows:
-        parts = []
-        for c in columns:
-            v = row.get(c)
-            if v is None:
-                rendered = "null"
-            elif isinstance(v, bool):
-                rendered = "true" if v else "false"
-            elif isinstance(v, (int, np.integer)):
-                rendered = str(int(v))
-            elif isinstance(v, (float, np.floating, Fraction)):
-                rendered = format(float(v), ".17g")
-            else:
-                rendered = json.dumps(str(v))
-            parts.append(f"{json.dumps(c)}: {rendered}")
-        lines.append("{" + ", ".join(parts) + "}")
+        fields = (f"{json.dumps(c)}: {_json_value(row.get(c))}" for c in columns)
+        lines.append("{" + ", ".join(fields) + "}")
     return "\n".join(lines) + "\n"
 
 
@@ -391,10 +428,14 @@ def _emit(config: ExperimentConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _ensemble(config: ExperimentConfig):
+    """The run's EnsembleConfig (entry law, widths, p) and starting vector u."""
+    ens = make_config(config.widths, config.p, resolve_law(config))
+    return ens, resolve_u(config.u, config.widths[0])
+
+
 def _run_beta(config: ExperimentConfig):
-    law = resolve_law(config)
-    ens = make_config(config.widths, config.p, law)
-    u = resolve_u(config.u, config.widths[0])
+    ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     budget = error_budget(ens, u)
     columns = [
@@ -415,9 +456,7 @@ def _run_beta(config: ExperimentConfig):
 
 
 def _run_simulate(config: ExperimentConfig):
-    law = resolve_law(config)
-    ens = make_config(config.widths, config.p, law)
-    u = resolve_u(config.u, config.widths[0])
+    ens, u = _ensemble(config)
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     params = compute_beta(ens, u)
     row = {
@@ -452,9 +491,7 @@ def _run_simulate(config: ExperimentConfig):
 
 
 def _run_moments(config: ExperimentConfig):
-    law = resolve_law(config)
-    ens = make_config(config.widths, config.p, law)
-    u = resolve_u(config.u, config.widths[0])
+    ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     columns = [
@@ -505,9 +542,7 @@ def _run_moments(config: ExperimentConfig):
 
 
 def _run_ks_test(config: ExperimentConfig):
-    law = resolve_law(config)
-    ens = make_config(config.widths, config.p, law)
-    u = resolve_u(config.u, config.widths[0])
+    ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     stat = ks_to_gaussian(batch, params.predicted_mean, params.predicted_variance)
@@ -534,9 +569,7 @@ def _run_ks_test(config: ExperimentConfig):
 def _run_chi2_check(config: ExperimentConfig):
     if config.dist != "gaussian" or config.p != 1:
         raise UsageError("chi2-check requires --dist gaussian and --p 1")
-    law = resolve_law(config)
-    ens = make_config(config.widths, config.p, law)
-    u = resolve_u(config.u, config.widths[0])
+    ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     product = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     reference = chi_square_product_sampler(
@@ -572,17 +605,15 @@ def _run_jacobian_compare(config: ExperimentConfig):
         raise UsageError(
             f"jacobian-compare needs --trials >= {COMPARISON_MIN_TRIALS}, got {config.trials}"
         )
-    law = resolve_law(config)
-    if not law.atomless:
+    ens, u = _ensemble(config)
+    if not ens.atomless:
         raise UsageError("jacobian-compare needs an atomless --dist")
-    arch = Architecture(config.widths)
     net_config = ReluNetConfig(
-        architecture=arch,
-        weight_law=law,
+        architecture=ens.architecture,
+        weight_law=ens.entry_law,
         bias_scale=config.bias_scale,
         seed=config.seed,
     )
-    u = resolve_u(config.u, config.widths[0])
     x = resolve_x(config.x, config.widths[0])
     comparison = compare_jacobian_vs_product(
         net_config,

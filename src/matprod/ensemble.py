@@ -1,14 +1,13 @@
-"""Masked random-matrix ensembles and layer-by-layer propagation.
+"""Masked random-matrix ensembles and their closed-form quantities.
+
+Architecture, configuration and unit-vector types; the variance parameter
+beta, the one-layer variance, the zero-event probability and the raw error
+budget of the normal approximation.
 
 The model: a product of depth-many random matrices, each the composition of a
 diagonal Bernoulli(p) mask and an i.i.d. matrix with entries from a symmetric
 mean-0 variance-1 law, normalized so the squared norm of the propagated vector
-has expectation one at every layer.
-
-Propagation keeps a unit vector plus a log accumulator instead of the raw
-product, so arbitrarily deep products never overflow or underflow.  A layer
-whose output vanishes (an all-zero mask, or exact cancellation for discrete
-laws) sets a ``dead`` flag; the log of zero is never taken.
+has expectation one at every layer.  Sampling it is ``montecarlo.run_trials``.
 """
 
 from __future__ import annotations
@@ -177,25 +176,6 @@ class BetaParams:
         return self.beta
 
 
-@dataclass(frozen=True)
-class LayerState:
-    """Propagation state: current unit direction plus accumulated log norm."""
-
-    unit: np.ndarray
-    log_sq_norm: float
-    index: int
-    dead: bool = False
-
-    def __post_init__(self):
-        unit = np.array(self.unit, dtype=np.float64)
-        unit.setflags(write=False)
-        object.__setattr__(self, "unit", unit)
-
-
-def initial_state(u: UnitVector) -> LayerState:
-    return LayerState(unit=u.coords.copy(), log_sq_norm=0.0, index=0)
-
-
 def compute_beta(config: EnsembleConfig, u: UnitVector) -> BetaParams:
     """Closed-form variance parameter for a config and starting vector."""
     widths = config.widths
@@ -206,61 +186,6 @@ def compute_beta(config: EnsembleConfig, u: UnitVector) -> BetaParams:
     mu4 = config.entry_law.mu4
     term_fourth = (mu4 - 3.0) / (p * widths[1]) * u.l4_norm_4
     return BetaParams(term_width + term_fourth, term_width, term_fourth)
-
-
-def draw_layer(config: EnsembleConfig, i: int, rng: np.random.Generator):
-    """Sample one layer's mask vector and weight matrix.
-
-    Fixed draw order: the mask uniforms first, then the full weight matrix in
-    row-major order.  The full matrix is drawn even for masked rows, so stream
-    consumption never depends on the mask outcome.
-    """
-    widths = config.widths
-    n, m = widths[i], widths[i - 1]
-    mask = rng.random(n) < config.p_float
-    weights = config.entry_law.sample(rng, (n, m))
-    return mask, weights
-
-
-def propagate_layer(
-    state: LayerState, i: int, config: EnsembleConfig, rng: np.random.Generator
-) -> LayerState:
-    """Apply layer i: mask, multiply, renormalize, accumulate the log norm."""
-    if state.dead:
-        raise ValueError("cannot propagate a dead state")
-    if not 1 <= i <= config.architecture.depth:
-        raise ValueError(f"layer index {i} out of range")
-    mask, weights = draw_layer(config, i, rng)
-    n = config.widths[i]
-    v = weights @ state.unit
-    v *= mask
-    # dividing the squared norm (not the vector) by p*n keeps exactly
-    # representable norms exact, e.g. the unit-increment ensembles
-    raw_sq = float(v @ v)
-    if raw_sq == 0.0:
-        return LayerState(unit=v, log_sq_norm=state.log_sq_norm, index=i, dead=True)
-    return LayerState(
-        unit=v / math.sqrt(raw_sq),
-        log_sq_norm=state.log_sq_norm + math.log(raw_sq / (config.p_float * n)),
-        index=i,
-    )
-
-
-def sample_log_norm(
-    config: EnsembleConfig, u: UnitVector, rng: np.random.Generator
-) -> float | None:
-    """One realization of the log normalized squared norm of the product.
-
-    Returns None when some layer annihilates the vector (the zero event);
-    otherwise the accumulated log, which equals the log of
-    (n_0/n_d) * squared norm of the full product applied to u.
-    """
-    state = initial_state(u)
-    for i in range(1, config.architecture.depth + 1):
-        state = propagate_layer(state, i, config, rng)
-        if state.dead:
-            return None
-    return state.log_sq_norm
 
 
 def predict_layer_variance(u_current, n_next: int, p: float, mu4: float) -> float:

@@ -62,6 +62,35 @@ class TestParsing:
     def test_unreadable_config_file(self, capsys):
         assert main(["beta", "--config", "/nonexistent.json", "--widths", "2,2"]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value, flags",
+        [
+            ("assert", True, ["--assert"]),
+            ("tolerance", "0.5", ["--tolerance", "0.5"]),
+            ("threads", "2", ["--threads", "2"]),
+            ("bias-scale", 2, ["--bias-scale", "2"]),
+            ("bias_scale", "0.25", ["--bias-scale", "0.25"]),
+            ("dist_pairs", "1:0.5,-1:0.5", ["--dist-pairs", "1:0.5,-1:0.5"]),
+            ("k", 3, ["--k", "3"]),
+        ],
+    )
+    def test_config_value_converts_like_its_flag(self, tmp_path, key, value, flags):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        base = ["jacobian-compare", "--widths", "4,4"]
+        assert parse_config(base + ["--config", str(cfg_file)]) == parse_config(base + flags)
+
+
+def run_cli(args, env=None, cwd=None):
+    src = str(Path(matprod.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "matprod.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src, **(env or {})},
+    )
+
 
 class TestErrorContract:
     @pytest.mark.parametrize(
@@ -74,16 +103,38 @@ class TestErrorContract:
         ids=["negative-bias-scale", "too-few-trials", "bad-threads-env"],
     )
     def test_jacobian_compare_bad_input_exits_2(self, flags, env):
-        src = str(Path(matprod.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-m", "matprod.cli", "jacobian-compare", "--widths", "4,4",
-             "--trials", "200", *flags],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src, **env},
-        )
+        proc = run_cli(["jacobian-compare", "--widths", "4,4", "--trials", "200", *flags], env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("matprod: error: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["beta"], {"widths": "4,4", "seed": "abc"}, "--seed"),
+            (["simulate", "--trials", "10"], {"widths": "4,4", "threads": "two"}, "--threads"),
+            (["ks-test", "--trials", "300"], {"widths": "4,4", "tolerance": "half"}, "--tolerance"),
+            (["beta"], {"widths": "4,4", "seed": 3.7}, "--seed"),
+            (["simulate", "--widths", "4,4", "--trials", "10", "--seed", "-1"], None, "--seed"),
+            (["simulate", "--widths", "4,4", "--trials", "10", "--threads", "0"], None, "--threads"),
+            (["simulate"], {"widths": "4,4", "trails": 5}, "'trails'"),
+            (["simulate"], {"widths": "4,4", "assert": "yes"}, "--assert"),
+            (["beta", "--widths", "2,2", "--u", "text.txt"], None, "--u"),
+            (["beta", "--widths", "2,2", "--u", "huge.txt"], None, "--u"),
+        ],
+        ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
+             "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, args, config, message):
+        (tmp_path / "text.txt").write_text("0.6 zebra\n")
+        (tmp_path / "huge.txt").write_text("1e200 1e200\n")
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            args = args + ["--config", "run.json"]
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("matprod: error: ")
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -203,20 +254,26 @@ class TestDeterminism:
 
 class TestFormats:
     def test_json_mirrors_csv(self, tmp_path):
-        base = ["beta", "--widths", "4,4", "--p", "0.5", "--dist", "uniform", "--u", "uniform"]
-        csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
-        assert main(base + ["--output", str(csv_path)]) == 0
-        assert main(base + ["--format", "json", "--output", str(json_path)]) == 0
-        _, rows = read_csv(csv_path)
-        lines = json_path.read_text().splitlines()
-        meta = json.loads(lines[0])
-        assert set(meta) == {"fingerprint", "seed", "version"}
-        obj = json.loads(lines[1])
-        for key, text in rows[0].items():
-            if text == "":
-                assert obj[key] is None
-            else:
-                assert float(obj[key]) == pytest.approx(float(text), rel=1e-15)
+        for base in (
+            ["beta", "--widths", "4,4", "--p", "0.5", "--dist", "uniform", "--u", "uniform"],
+            # beta = 0: the KS error terms are infinite
+            ["beta", "--widths", "2,2", "--dist", "rademacher", "--u", "e1"],
+        ):
+            csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
+            assert main(base + ["--output", str(csv_path)]) == 0
+            assert main(base + ["--format", "json", "--output", str(json_path)]) == 0
+            _, rows = read_csv(csv_path)
+            meta, obj = (json.loads(line) for line in json_path.read_text().splitlines())
+            assert set(meta) == {"fingerprint", "seed", "version"}
+            for key, text in rows[0].items():
+                if text == "":
+                    assert obj[key] is None
+                elif text in ("inf", "-inf", "nan"):
+                    assert obj[key] == text
+                else:
+                    assert isinstance(obj[key], (int, float))
+                    assert obj[key] == pytest.approx(float(text), rel=1e-15)
+        assert rows[0]["ks_linear_term"] == "inf"
 
     def test_csv_has_header_and_comment(self, tmp_path):
         out = tmp_path / "o.csv"

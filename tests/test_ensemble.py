@@ -10,14 +10,12 @@ from matprod import (
     UnitVector,
     compute_beta,
     error_budget,
-    initial_state,
     make_config,
     predict_layer_variance,
-    propagate_layer,
-    sample_log_norm,
+    run_trials,
     zero_event_probability,
 )
-from matprod.ensemble import draw_layer
+from matprod.montecarlo import _renormalize
 
 
 def stream(seed=0):
@@ -78,23 +76,12 @@ class TestComputeBeta:
 
 
 class TestPropagation:
-    def test_rademacher_single_output_increment_zero(self, rad):
-        cfg = make_config((5, 1), 1, rad)
-        state = propagate_layer(initial_state(UnitVector.basis(5)), 1, cfg, stream())
-        assert state.log_sq_norm == 0.0
-        assert not state.dead
-
+    # the law of the propagated vector, sampled through the block engine
     def test_all_zero_mask_sets_dead_flag(self, gauss):
         cfg = make_config((2, 2), F(1, 10**9), gauss)
-        state = propagate_layer(initial_state(UnitVector.basis(2)), 1, cfg, stream())
-        assert state.dead
-
-    def test_deterministic_given_seed(self, gauss):
-        cfg = make_config((4, 4, 4), F(1, 2), gauss)
-        u = UnitVector.uniform(4)
-        a = sample_log_norm(cfg, u, stream(11))
-        b = sample_log_norm(cfg, u, stream(11))
-        assert a == b
+        batch = run_trials(cfg, UnitVector.basis(2), 300, seed=0)
+        assert batch.zero_event_count == 300
+        assert batch.samples.size == 0
 
     def test_gaussian_increment_is_chi_square_over_dof(self, gauss):
         # p=1 Gaussian: n * exp(one-layer increment) has the chi2_n law
@@ -102,58 +89,22 @@ class TestPropagation:
 
         n = 6
         cfg = make_config((4, n), 1, gauss)
-        u = UnitVector.uniform(4)
-        rng = stream(3)
-        draws = np.array(
-            [propagate_layer(initial_state(u), 1, cfg, rng).log_sq_norm for _ in range(20000)]
-        )
-        stat = scipy.stats.kstest(n * np.exp(draws), scipy.stats.chi2(df=n).cdf).statistic
+        batch = run_trials(cfg, UnitVector.uniform(4), 20000, seed=3)
+        stat = scipy.stats.kstest(n * np.exp(batch.samples), scipy.stats.chi2(df=n).cdf).statistic
         assert stat < 0.015
 
-    def test_telescoping_matches_direct_product(self, gauss):
-        # rebuild the same masks/weights from an identical stream and compare
-        # the accumulated log against the directly computed product norm
-        for widths, p, seed in [
-            ((5, 4, 6, 3), F(1, 2), 0),
-            ((8, 8, 8, 8, 8), 1, 1),
-            ((2, 7, 3), F(3, 4), 2),
-        ]:
-            cfg = make_config(widths, p, gauss)
-            u = UnitVector.uniform(widths[0])
-
-            state = initial_state(u)
-            rng = stream(seed)
-            dead = False
-            for i in range(1, cfg.architecture.depth + 1):
-                state = propagate_layer(state, i, cfg, rng)
-                if state.dead:
-                    dead = True
-                    break
-
-            rng = stream(seed)
-            vec = u.coords.copy()
-            for i in range(1, cfg.architecture.depth + 1):
-                mask, w = draw_layer(cfg, i, rng)
-                vec = (w @ vec) * mask / math.sqrt(cfg.p_float * widths[i])
-            direct = float(vec @ vec)
-            if dead:
-                assert direct == 0.0
-            else:
-                assert state.log_sq_norm == pytest.approx(math.log(direct), abs=1e-8)
-
-    def test_states_stay_unit_norm(self, gauss):
-        cfg = make_config((6, 5, 7, 4), F(1, 2), gauss)
-        u = UnitVector.uniform(6)
-        rng = stream(13)
-        for _ in range(200):
-            state = initial_state(u)
-            assert state.log_sq_norm == 0.0
-            for i in range(1, cfg.architecture.depth + 1):
-                state = propagate_layer(state, i, cfg, rng)
-                if state.dead:
-                    break
-                nrm = float(np.sqrt(state.unit @ state.unit))
-                assert abs(nrm - 1.0) <= 1e-10
+    def test_states_stay_unit_norm(self):
+        # one layer of the block accumulator: live rows come back unit-norm
+        # with log(||v||^2 / divisor) added; a vanished row is zeroed and dead
+        v = stream(13).standard_normal((6, 5))
+        v[2] = 0.0
+        raw_sq = np.einsum("ci,ci->c", v, v)
+        logs, alive = np.full(6, 0.5), np.ones(6, dtype=bool)
+        unit = _renormalize(v, 2.5, logs, alive)
+        assert alive.tolist() == [True, True, False, True, True, True]
+        assert not unit[2].any() and logs[2] == 0.5
+        assert np.einsum("ci,ci->c", unit[alive], unit[alive]) == pytest.approx(1.0, abs=1e-12)
+        assert logs[alive] == pytest.approx(0.5 + np.log(raw_sq[alive] / 2.5), abs=1e-12)
 
     def test_mean_of_exp_log_norm_is_one(self, gauss, rad):
         # zero events contribute 0 to the mean
@@ -162,15 +113,9 @@ class TestPropagation:
             (gauss, (4, 8, 4), F(1, 2), 6),
             (rad, (3, 5, 3), F(1, 2), 7),
         ]:
-            cfg = make_config(widths, p, law)
-            u = UnitVector.uniform(widths[0])
-            rng = stream(seed)
             n = 10_000
-            total = 0.0
-            for _ in range(n):
-                val = sample_log_norm(cfg, u, rng)
-                total += math.exp(val) if val is not None else 0.0
-            assert abs(total / n - 1.0) <= 5 / math.sqrt(n)
+            batch = run_trials(make_config(widths, p, law), UnitVector.uniform(widths[0]), n, seed)
+            assert abs(np.exp(batch.samples).sum() / n - 1.0) <= 5 / math.sqrt(n)
 
 
 class TestPredictLayerVariance:

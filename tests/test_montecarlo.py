@@ -18,6 +18,7 @@ from matprod import (
     two_sample_ks,
     zero_event_probability,
 )
+from matprod.montecarlo import CHUNK, DOMAIN_PRODUCT, chunk_stream
 
 
 def manual_batch(samples, zero_events=0, trials=None):
@@ -79,6 +80,36 @@ class TestRunTrials:
         q = zero_event_probability(cfg).probability
         tolerance = 4 * math.sqrt(q * (1 - q) / n)
         assert abs(batch.zero_event_rate - q) <= tolerance
+
+    def test_block_replay_matches_direct_product(self, gauss):
+        # redraw block c as the engine does, per layer the (CHUNK, n) mask
+        # uniforms and then the (CHUNK, n, m) weights, and multiply out each
+        # trial's product; run alone through its trial window, every trial
+        # must give the log of that norm, or a zero event when it vanishes
+        for widths, p, seed, c, has_zero_events in [
+            ((5, 4, 6, 3), F(1, 2), 0, 0, True),
+            ((8, 8, 8, 8, 8), 1, 1, 1, False),
+            ((2, 7, 3), F(3, 4), 2, 3, True),
+        ]:
+            cfg = make_config(widths, p, gauss)
+            u = UnitVector.uniform(widths[0])
+            rng = chunk_stream(seed, DOMAIN_PRODUCT, c)
+            vec = np.broadcast_to(u.coords, (CHUNK, widths[0]))
+            for m, n in zip(widths, widths[1:]):
+                mask = rng.random((CHUNK, n)) < float(p)
+                w = gauss.sample(rng, (CHUNK, n, m))
+                vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(float(p) * n)
+            zero_events = 0
+            for t in range(CHUNK):
+                batch = run_trials(cfg, u, 1, seed, trial_offset=c * CHUNK + t)
+                direct = float(vec[t] @ vec[t])
+                if direct == 0.0:
+                    assert batch.zero_event_count == 1
+                    zero_events += 1
+                else:
+                    assert batch.zero_event_count == 0
+                    assert batch.samples[0] == pytest.approx(math.log(direct), abs=1e-10)
+            assert (zero_events > 0) == has_zero_events
 
     def test_batch_invariants_validated(self):
         with pytest.raises(ValueError):
