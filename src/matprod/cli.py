@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -503,14 +504,19 @@ def _run_moments(config: ExperimentConfig):
     for k in config.k:
         reasons = []
         exact = brute = theory = None
-        try:
-            exact = _checked_double(exact_moment(ens, u, k), k)
-        except (BudgetExceeded, FloatRangeError) as exc:
-            reasons.append(f"exact: {exc}")
-        try:
-            brute = _checked_double(brute_force_moment(ens, u, k), k)
-        except (BudgetExceeded, FloatRangeError) as exc:
-            reasons.append(f"brute_force: {exc}")
+        # both routes raise the same CollisionRegimeWarning; print each
+        # message once, as a matprod line without a source location
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                exact = _checked_double(exact_moment(ens, u, k), k)
+            except (BudgetExceeded, FloatRangeError) as exc:
+                reasons.append(f"exact: {exc}")
+            try:
+                brute = _checked_double(brute_force_moment(ens, u, k), k)
+            except (BudgetExceeded, FloatRangeError) as exc:
+                reasons.append(f"brute_force: {exc}")
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"matprod: warning: {message}", file=sys.stderr)
         try:
             theory = theory_moment(params, k)
         except FloatRangeError as exc:

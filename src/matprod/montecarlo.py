@@ -9,7 +9,9 @@ in a fixed order set by its domain:
 
 ``DOMAIN_PRODUCT``
     the masked product (``run_trials``): for each layer, the mask uniforms
-    for every trial of the block, then the full weight block;
+    for every trial of the block, then the live weight entries (live row of
+    this layer, live unit of the one before) of every trial, in (trial, row,
+    column) order;
 ``DOMAIN_CHI2``
     the chi-square product law: for each width, the block's normals or
     gamma variates;
@@ -26,8 +28,10 @@ index) — independent of how many trials were requested, of the trial window,
 and of how blocks are scheduled across threads.  Results are reduced by
 sorting, so any thread count produces the same batch.
 
-Dead trials (zero events) keep consuming their share of draws, which keeps
-stream consumption outcome-independent.
+How many numbers a block consumes is set by its mask counts alone, which
+come from the same stream, so consumption is still a pure function of (seed,
+config, block); a trial whose vector vanished (a zero event) keeps drawing
+for its live entries.
 
 The ``MATPROD_THREADS`` environment variable caps worker threads; the default
 is the machine's CPU count.
@@ -119,20 +123,38 @@ def batch_fingerprint(config: EnsembleConfig, u: UnitVector) -> str:
 
 
 def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Generator):
-    """Propagate one block of CHUNK trials; returns (log norms, alive flags)."""
+    """Propagate one block of CHUNK trials; returns (log norms, alive flags).
+
+    Entry ``W_i[r, j]`` reaches the output only when row r of layer i and
+    unit j of layer i-1 are live, so only those entries are drawn.  The
+    entries are i.i.d., so each trial's live units sit packed at the front
+    in unit order and only their counts pass from layer to layer: the flat
+    draw fills a zero block of shape (CHUNK, max live rows, max live units)
+    in (trial, row, column) order.  Where that block has no hole (p = 1 with
+    a dense u) the same numbers are drawn in its shape directly.
+    """
     widths = config.widths
     p = config.p_float
     law = config.entry_law
-    u = np.broadcast_to(u0, (CHUNK, widths[0])).copy()
+    units = u0[u0 != 0.0]
+    u = np.broadcast_to(units, (CHUNK, units.size)).copy()
+    prev = np.full(CHUNK, units.size)
     logs = np.zeros(CHUNK)
     alive = np.ones(CHUNK, dtype=bool)
     for i in range(1, len(widths)):
-        n, m = widths[i], widths[i - 1]
-        mask = rng.random((CHUNK, n)) < p
-        weights = law.sample(rng, (CHUNK, n, m))
+        n = widths[i]
+        live = np.count_nonzero(rng.random((CHUNK, n)) < p, axis=1)
+        shape = (CHUNK, int(live.max()), int(prev.max()))
+        if live.min() == shape[1] and prev.min() == shape[2]:
+            weights = law.sample(rng, shape)
+        else:
+            rows = np.arange(shape[1]) < live[:, None]
+            cols = np.arange(shape[2]) < prev[:, None]
+            weights = np.zeros(shape)
+            weights[rows[:, :, None] & cols[:, None, :]] = law.sample(rng, int(live @ prev))
         v = np.matmul(weights, u[:, :, None])[:, :, 0]
-        v *= mask
         u = _renormalize(v, p * n, logs, alive)
+        prev = live
     return logs, alive
 
 

@@ -210,6 +210,20 @@ class TestMomentsCommand:
         assert rows[0]["exact"] == ""
         assert "exact: E[Z^6] ~ 1e422 is outside double precision" in rows[0]["reason"]
 
+    def test_collision_regime_warning_is_one_matprod_line(self):
+        # outside pytest's filter the warning reaches stderr: once per k,
+        # although both exact routes raise it, and with no source location
+        result = run_cli(
+            ["moments", "--widths", "2x100", "--p", "0.5", "--u", "e1", "--k", "6",
+             "--trials", "0"]
+        )
+        assert result.returncode == 0
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("matprod: warning: k=6 has comb(k,2)=15 >= min width 2; ")
+        assert ".py:" not in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_brute_force_paths_budget_refuses_at_once(self, tmp_path):
         out = tmp_path / "moments.csv"
         code = main(

@@ -18,7 +18,18 @@ from matprod import (
     two_sample_ks,
     zero_event_probability,
 )
+from matprod.distributions import DistributionSpec, law_from_name
 from matprod.montecarlo import CHUNK, DOMAIN_PRODUCT, chunk_stream
+
+
+def replay_input(name, dim):
+    """e1, the uniform vector, or a fixed generic direction."""
+    if name == "e1":
+        return UnitVector.basis(dim)
+    if name == "uniform":
+        return UnitVector.uniform(dim)
+    coords = np.random.default_rng(7).standard_normal(dim)
+    return UnitVector.from_coords(coords / np.linalg.norm(coords))
 
 
 def manual_batch(samples, zero_events=0, trials=None):
@@ -81,35 +92,117 @@ class TestRunTrials:
         tolerance = 4 * math.sqrt(q * (1 - q) / n)
         assert abs(batch.zero_event_rate - q) <= tolerance
 
-    def test_block_replay_matches_direct_product(self, gauss):
+    def test_block_replay_matches_direct_product(self):
         # redraw block c as the engine does, per layer the (CHUNK, n) mask
-        # uniforms and then the (CHUNK, n, m) weights, and multiply out each
-        # trial's product; run alone through its trial window, every trial
-        # must give the log of that norm, or a zero event when it vanishes
-        for widths, p, seed, c, has_zero_events in [
-            ((5, 4, 6, 3), F(1, 2), 0, 0, True),
-            ((8, 8, 8, 8, 8), 1, 1, 1, False),
-            ((2, 7, 3), F(3, 4), 2, 3, True),
+        # uniforms and then one flat draw of the live entries, and place it at
+        # (live rows x live columns) of a dense (CHUNK, n, m) array in (trial,
+        # row, column) order; every dead position holds finite junk, which the
+        # masked product must never see
+        for widths, p, law_name, u_name, seed, c, has_zero_events in [
+            ((5, 4, 6, 3), F(1, 2), "gaussian", "uniform", 0, 0, True),
+            ((8, 8, 8, 8, 8), 1, "gaussian", "uniform", 1, 1, False),
+            ((2, 7, 3), F(3, 4), "gaussian", "uniform", 2, 3, True),
+            ((6, 5, 4, 5), F(1, 2), "gaussian", "e1", 3, 2, True),
+            ((4, 6, 5, 3), F(2, 3), "uniform", "uniform", 4, 0, True),
+            ((5, 6, 6, 4), F(1, 2), "rademacher", "generic", 5, 1, True),
         ]:
-            cfg = make_config(widths, p, gauss)
-            u = UnitVector.uniform(widths[0])
+            law = law_from_name(law_name)
+            u = replay_input(u_name, widths[0])
             rng = chunk_stream(seed, DOMAIN_PRODUCT, c)
-            vec = np.broadcast_to(u.coords, (CHUNK, widths[0]))
+            junk = np.random.default_rng(99)
+            live_cols = np.broadcast_to(u.coords != 0.0, (CHUNK, widths[0]))
+            layers = []
             for m, n in zip(widths, widths[1:]):
                 mask = rng.random((CHUNK, n)) < float(p)
-                w = gauss.sample(rng, (CHUNK, n, m))
-                vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(float(p) * n)
-            zero_events = 0
-            for t in range(CHUNK):
-                batch = run_trials(cfg, u, 1, seed, trial_offset=c * CHUNK + t)
-                direct = float(vec[t] @ vec[t])
-                if direct == 0.0:
-                    assert batch.zero_event_count == 1
-                    zero_events += 1
-                else:
-                    assert batch.zero_event_count == 0
-                    assert batch.samples[0] == pytest.approx(math.log(direct), abs=1e-10)
-            assert (zero_events > 0) == has_zero_events
+                entries = mask[:, :, None] & live_cols[:, None, :]
+                w = junk.uniform(-5.0, 5.0, (CHUNK, n, m))
+                w[entries] = law.sample(rng, int(np.count_nonzero(entries)))
+                layers.append((mask, w))
+                live_cols = mask
+            self.check_direct_product(
+                make_config(widths, p, law), u, seed, c, layers, has_zero_events
+            )
+
+    def test_block_replay_all_live_keeps_shaped_draw(self, gauss):
+        # p = 1 with a dense u leaves no dead entry: the block is replayed
+        # with the shaped (CHUNK, n, m) weight draw, so these streams are
+        # those of the full-block sampler
+        widths, seed, c = (6, 7, 5, 6), 8, 2
+        u = UnitVector.uniform(widths[0])
+        rng = chunk_stream(seed, DOMAIN_PRODUCT, c)
+        layers = []
+        for m, n in zip(widths, widths[1:]):
+            mask = rng.random((CHUNK, n)) < 1.0
+            layers.append((mask, gauss.sample(rng, (CHUNK, n, m))))
+        self.check_direct_product(make_config(widths, 1, gauss), u, seed, c, layers, False)
+
+    @staticmethod
+    def check_direct_product(cfg, u, seed, c, layers, has_zero_events):
+        """Multiply out each trial's masked product from the replayed
+        (mask, dense weights) layers; run alone through its trial window,
+        every trial must give the log of that norm, or a zero event when it
+        vanishes.  Rows of an atomic law can cancel exactly; the direct sum,
+        taken in another order, then leaves a residue of order 1e-33, so a
+        direct norm below 1e-20 counts as vanished."""
+        vec = np.broadcast_to(u.coords, (CHUNK, u.dim))
+        for mask, w in layers:
+            n = mask.shape[1]
+            vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(cfg.p_float * n)
+        zero_events = 0
+        for t in range(CHUNK):
+            batch = run_trials(cfg, u, 1, seed, trial_offset=c * CHUNK + t)
+            direct = float(vec[t] @ vec[t])
+            if direct < 1e-20:
+                assert batch.zero_event_count == 1
+                zero_events += 1
+            else:
+                assert batch.zero_event_count == 0
+                assert batch.samples[0] == pytest.approx(math.log(direct), abs=1e-10)
+        assert (zero_events > 0) == has_zero_events
+
+    @pytest.mark.parametrize(
+        "widths, p, u_name, seed, c",
+        [
+            ((3, 2, 3, 2), F(1, 2), "uniform", 0, 2),
+            ((6, 9, 1, 4), F(1, 3), "e1", 5, 0),
+            ((4, 4, 4), 1, "uniform", 6, 1),
+        ],
+    )
+    def test_draws_only_live_entries(self, gauss, monkeypatch, widths, p, u_name, seed, c):
+        # per layer the weight draw holds sum_c K_i(c) * K_{i-1}(c) numbers,
+        # K_i(c) being trial c's live-row count from the replayed masks (K_0
+        # the nonzero coordinates of u), and the contracted weight array is
+        # (CHUNK, max K_i, max K_{i-1})
+        u = replay_input(u_name, widths[0])
+        sample = DistributionSpec.sample
+        rng = chunk_stream(seed, DOMAIN_PRODUCT, c)
+        prev = np.full(CHUNK, np.count_nonzero(u.coords))
+        sizes, shapes, some_dead = [], [], False
+        for n in widths[1:]:
+            live = np.count_nonzero(rng.random((CHUNK, n)) < float(p), axis=1)
+            sizes.append(int(live @ prev))
+            shapes.append((CHUNK, int(live.max()), int(prev.max())))
+            some_dead |= bool(np.any(live == 0))
+            sample(gauss, rng, sizes[-1])
+            prev = live
+        drawn, contracted = [], []
+        matmul = np.matmul
+
+        def recording_sample(law, rng, shape):
+            out = sample(law, rng, shape)
+            drawn.append(out.size)
+            return out
+
+        def recording_matmul(a, b):
+            contracted.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(DistributionSpec, "sample", recording_sample)
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        run_trials(make_config(widths, p, gauss), u, 1, seed, trial_offset=c * CHUNK, threads=1)
+        assert drawn == sizes
+        assert contracted == shapes
+        assert some_dead == (p != 1)
 
     def test_batch_invariants_validated(self):
         with pytest.raises(ValueError):
