@@ -33,6 +33,13 @@ come from the same stream, so consumption is still a pure function of (seed,
 config, block); a trial whose vector vanished (a zero event) keeps drawing
 for its live entries.
 
+A product block draws and contracts each layer's weights in slices of
+consecutive trials (``SLICE_ENTRIES`` padded entries, 512 KB, or one trial
+where a single trial needs more).  Consecutive draws give the numbers of one
+joint draw, so slicing leaves the stream and the output bytes as they are,
+and a thread holds about one slice of weights at a time instead of a
+``(CHUNK, n, n)`` block.
+
 The ``MATPROD_THREADS`` environment variable caps worker threads; the default
 is the machine's CPU count.
 """
@@ -62,6 +69,19 @@ DOMAIN_NET_BLOCKS = 4
 # Chi-square draws: exact sum of squared normals up to this dof, gamma
 # rejection sampling above it.
 CHI2_EXACT_DOF = 32
+
+# Padded weight entries (8 bytes each) that one slice of a product block
+# draws and contracts at once; a trial that needs more gets a slice alone.
+SLICE_ENTRIES = 1 << 16
+
+# An atomic law's product can vanish exactly, and the float contraction then
+# leaves a residue instead of 0.  Row r of v = W u sums K' = (live units)
+# terms; with |W_rj| <= w_max and ||u|| = 1 its rounding error is at most
+# K' eps * w_max ||u||_1 <= eps * w_max * K'^(3/2) (eps = 2^-53), so over K
+# live rows ||v||^2 <= K K'^3 (eps w_max)^2 when W u is exactly 0.  The
+# slack covers the rounding u carries from earlier layers; a squared norm
+# within that bound is a zero event.
+CANCEL_SLACK = 4.0
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -128,9 +148,18 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
     Entry ``W_i[r, j]`` reaches the output only when row r of layer i and
     unit j of layer i-1 are live, so only those entries are drawn.  The
     entries are i.i.d., so each trial's live units sit packed at the front
-    in unit order and only their counts pass from layer to layer: the flat
-    draw fills a zero block of shape (CHUNK, max live rows, max live units)
-    in (trial, row, column) order.  Where that block has no hole (p = 1 with
+    in unit order and only their counts pass from layer to layer.
+
+    A layer draws its ``(CHUNK, n)`` mask uniforms for the whole block, then
+    works through the block in slices of consecutive trials: each slice
+    draws its part of the flat live-entry draw, in (trial, row, column)
+    order, scatters it into a zero block of shape (slice, max live rows, max
+    live units), contracts it and writes its rows of v.  The maxima are
+    block-wide, so every trial is contracted in the same shape whatever the
+    slicing.  A slice holds at most ``SLICE_ENTRIES`` padded entries, or one
+    trial where a single trial needs more, so a thread keeps one such block,
+    not the whole layer, resident.  The numbers drawn and their order are
+    those of one flat draw per layer.  Where a slice has no hole (p = 1 with
     a dense u) the same numbers are drawn in its shape directly.
     """
     widths = config.widths
@@ -141,34 +170,50 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
     prev = np.full(CHUNK, units.size)
     logs = np.zeros(CHUNK)
     alive = np.ones(CHUNK, dtype=bool)
+    if law.atomless:
+        cancel = 0.0
+    else:
+        w_max = max(abs(float(v)) for v, _ in law.support_pairs())
+        cancel = (CANCEL_SLACK * 2.0**-53 * w_max) ** 2
     for i in range(1, len(widths)):
         n = widths[i]
         live = np.count_nonzero(rng.random((CHUNK, n)) < p, axis=1)
-        shape = (CHUNK, int(live.max()), int(prev.max()))
-        if live.min() == shape[1] and prev.min() == shape[2]:
-            weights = law.sample(rng, shape)
-        else:
-            rows = np.arange(shape[1]) < live[:, None]
-            cols = np.arange(shape[2]) < prev[:, None]
-            weights = np.zeros(shape)
-            weights[rows[:, :, None] & cols[:, None, :]] = law.sample(rng, int(live @ prev))
-        v = np.matmul(weights, u[:, :, None])[:, :, 0]
-        u = _renormalize(v, p * n, logs, alive)
+        rows, cols = int(live.max()), int(prev.max())
+        step = max(1, SLICE_ENTRIES // max(1, rows * cols))
+        v = np.empty((CHUNK, rows))
+        for lo in range(0, CHUNK, step):
+            hi = min(lo + step, CHUNK)
+            shape = (hi - lo, rows, cols)
+            v[lo:hi] = _contract_slice(law, rng, live[lo:hi], prev[lo:hi], shape, u[lo:hi])
+        u = _renormalize(v, p * n, logs, alive, cancel * live * prev**3.0)
         prev = live
     return logs, alive
 
 
-def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndarray):
+def _contract_slice(law, rng, live, prev, shape, u):
+    """Draw one slice's live weight entries into a zero block of ``shape``
+    and contract it with the slice's unit vectors; returns its rows of v."""
+    if live.min() == shape[1] and prev.min() == shape[2]:
+        weights = law.sample(rng, shape)
+    else:
+        rows = np.arange(shape[1]) < live[:, None]
+        cols = np.arange(shape[2]) < prev[:, None]
+        weights = np.zeros(shape)
+        weights[rows[:, :, None] & cols[:, None, :]] = law.sample(rng, int(live @ prev))
+    return np.matmul(weights, u[:, :, None])[:, :, 0]
+
+
+def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndarray, floor=0.0):
     """One layer of the log accumulator for a block of propagated vectors.
 
-    Adds ``log(||v||^2 / divisor)`` to ``logs`` and clears ``alive`` where v
-    vanished, both in place; returns the rows of v scaled to unit norm, dead
-    rows zeroed.
+    Adds ``log(||v||^2 / divisor)`` to ``logs`` and clears ``alive`` where
+    ``||v||^2 <= floor`` (v vanished), both in place; returns the rows of v
+    scaled to unit norm, dead rows zeroed.
     """
     # normalize the squared norm, not the vector: exactly representable
     # norms stay exact through the log
     raw_sq = np.einsum("ci,ci->c", v, v)
-    alive &= raw_sq > 0.0
+    alive &= raw_sq > floor
     safe = np.where(alive, raw_sq, 1.0)
     logs += np.where(alive, np.log(safe / divisor), 0.0)
     u = v / np.sqrt(safe)[:, None]

@@ -98,3 +98,31 @@ def test_sampling_shape_and_determinism(gauss):
     b = gauss.sample(np.random.default_rng(5), (3, 4))
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
+
+
+SPLIT_LAWS = {
+    "gaussian": standard_gaussian(),
+    "rademacher": rademacher(),
+    "uniform": uniform_symmetric(),
+    "discrete": discrete_symmetric([(-2, F(1, 8)), (0, F(3, 4)), (2, F(1, 8))]),
+}
+
+
+@pytest.mark.parametrize("law_name", sorted(SPLIT_LAWS))
+@pytest.mark.parametrize(
+    "sizes",
+    [(0, 0), (0, 5), (1, 1), (3, 5), (7, 0, 2, 9), (1, 1000, 3), ((2, 3, 4), 5, (1, 7, 3))],
+)
+def test_split_draw_equals_joint_draw(law_name, sizes):
+    # the product sampler draws a layer's live entries slice by slice and
+    # relies on consecutive draws giving the numbers of one joint draw and
+    # leaving the generator where the joint draw leaves it; Rademacher and
+    # the discrete law draw through integers and choice, so a numpy change
+    # could break this for them alone
+    law = SPLIT_LAWS[law_name]
+    split = np.random.Generator(np.random.PCG64(11))
+    joint = np.random.Generator(np.random.PCG64(11))
+    parts = [law.sample(split, size).ravel() for size in sizes]
+    total = sum(int(np.prod(size)) for size in sizes)
+    assert np.array_equal(np.concatenate(parts), law.sample(joint, total))
+    assert split.bit_generator.state == joint.bit_generator.state

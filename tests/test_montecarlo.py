@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,14 +12,17 @@ from matprod import (
     SampleBatch,
     UnitVector,
     chi_square_product_sampler,
+    discrete_symmetric,
     empirical_moment,
     ks_to_gaussian,
     make_config,
+    rademacher,
     run_trials,
     two_sample_ks,
     zero_event_probability,
 )
 from matprod.distributions import DistributionSpec, law_from_name
+from matprod import montecarlo
 from matprod.montecarlo import CHUNK, DOMAIN_PRODUCT, chunk_stream
 
 
@@ -30,6 +34,51 @@ def replay_input(name, dim):
         return UnitVector.uniform(dim)
     coords = np.random.default_rng(7).standard_normal(dim)
     return UnitVector.from_coords(coords / np.linalg.norm(coords))
+
+
+def atomic_zero_probability(widths, p, law):
+    """P(M_d X_d ... M_1 X_1 x0 = 0) for x0 = (1, ..., 1) and an atomic law
+    with integer support, by a DP over the integer vectors after each layer.
+
+    The law is symmetric, so a row's distribution depends only on the
+    multiset of |coordinates| it contracts, which is the DP state; the last
+    layer only needs the chance that one row is 0.
+    """
+    support = [(int(v), float(q)) for v, q in law.support_pairs()]
+    p = float(p)
+    states = {(1,) * widths[0]: 1.0}
+    zero = 0.0
+    for depth, n in enumerate(widths[1:], start=2):
+        following = defaultdict(float)
+        for state, weight in states.items():
+            row = {0: 1.0}
+            for a in state:
+                step = defaultdict(float)
+                for r, q in row.items():
+                    for v, qv in support:
+                        step[r + v * a] += q * qv
+                row = step
+            size = defaultdict(float)
+            size[0] += 1.0 - p
+            for r, q in row.items():
+                size[abs(r)] += p * q
+            if depth == len(widths):
+                zero += weight * size[0] ** n
+                continue
+            rows = {(): 1.0}
+            for _ in range(n):
+                grown = defaultdict(float)
+                for t, q in rows.items():
+                    for r, qr in size.items():
+                        grown[tuple(sorted(t + (r,)))] += q * qr
+                rows = grown
+            for t, q in rows.items():
+                if any(t):
+                    following[t] += weight * q
+                else:
+                    zero += weight * q
+        states = following
+    return zero
 
 
 def manual_batch(samples, zero_events=0, trials=None):
@@ -169,40 +218,134 @@ class TestRunTrials:
         ],
     )
     def test_draws_only_live_entries(self, gauss, monkeypatch, widths, p, u_name, seed, c):
-        # per layer the weight draw holds sum_c K_i(c) * K_{i-1}(c) numbers,
-        # K_i(c) being trial c's live-row count from the replayed masks (K_0
-        # the nonzero coordinates of u), and the contracted weight array is
-        # (CHUNK, max K_i, max K_{i-1})
+        # each of these blocks fits one slice; its blocks include trials
+        # with K_i = 0 unless p = 1
+        self.check_slices(gauss, monkeypatch, widths, p, u_name, seed, c, None, False, p != 1)
+
+    @pytest.mark.parametrize(
+        "widths, p, u_name, seed, c, budget, dead_in_slice",
+        [
+            # slices of a few trials, some with K_i = 0
+            ((6, 9, 1, 4), F(1, 3), "e1", 5, 0, 40, True),
+            # 128x8: slices of a few trials
+            ((128,) * 9, F(1, 2), "uniform", 1, 0, None, False),
+            # 512x3 at p = 1: each trial alone exceeds the budget
+            ((512,) * 4, 1, "uniform", 2, 0, None, False),
+        ],
+    )
+    def test_slices_bound_draws(
+        self, gauss, monkeypatch, widths, p, u_name, seed, c, budget, dead_in_slice
+    ):
+        self.check_slices(
+            gauss, monkeypatch, widths, p, u_name, seed, c, budget, True, dead_in_slice
+        )
+
+    @staticmethod
+    def check_slices(gauss, monkeypatch, widths, p, u_name, seed, c, budget, sliced, dead_in_slice):
+        """Record every weight draw and contraction of block c.
+
+        Per layer the weight draws hold sum_c K_i(c) * K_{i-1}(c) numbers,
+        K_i(c) being trial c's live-row count from the replayed masks (K_0
+        the nonzero coordinates of u).  They come in slices of consecutive
+        trials, each drawing its own trials' entries and contracting a
+        (slice, max K_i, max K_{i-1}) array with block-wide maxima; a slice
+        holds at most max(budget, largest single-trial K_i * K_{i-1}) draws.
+        ``sliced`` says whether every layer takes more than one slice, and
+        ``dead_in_slice`` whether some slice of several trials holds a trial
+        with K_i = 0.
+        """
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "SLICE_ENTRIES", budget)
+        budget = montecarlo.SLICE_ENTRIES
         u = replay_input(u_name, widths[0])
         sample = DistributionSpec.sample
         rng = chunk_stream(seed, DOMAIN_PRODUCT, c)
         prev = np.full(CHUNK, np.count_nonzero(u.coords))
-        sizes, shapes, some_dead = [], [], False
+        layers = []
         for n in widths[1:]:
             live = np.count_nonzero(rng.random((CHUNK, n)) < float(p), axis=1)
-            sizes.append(int(live @ prev))
-            shapes.append((CHUNK, int(live.max()), int(prev.max())))
-            some_dead |= bool(np.any(live == 0))
-            sample(gauss, rng, sizes[-1])
+            layers.append((live, prev))
+            # step the stream past the layer's weights in pieces, which the
+            # split-draw test in test_distributions shows is one joint draw
+            left = int(live @ prev)
+            while left:
+                piece = min(left, budget)
+                sample(gauss, rng, piece)
+                left -= piece
             prev = live
-        drawn, contracted = [], []
+        events = []
         matmul = np.matmul
 
         def recording_sample(law, rng, shape):
             out = sample(law, rng, shape)
-            drawn.append(out.size)
+            events.append(out.size)
             return out
 
         def recording_matmul(a, b):
-            contracted.append(a.shape)
+            events.append(a.shape)
             return matmul(a, b)
 
         monkeypatch.setattr(DistributionSpec, "sample", recording_sample)
         monkeypatch.setattr(np, "matmul", recording_matmul)
         run_trials(make_config(widths, p, gauss), u, 1, seed, trial_offset=c * CHUNK, threads=1)
-        assert drawn == sizes
-        assert contracted == shapes
-        assert some_dead == (p != 1)
+        draws, shapes = events[0::2], events[1::2]
+        assert len(draws) == len(shapes) and all(isinstance(s, tuple) for s in shapes)
+        dead_seen = False
+        for live, prev in layers:
+            entries = live * prev
+            cap = max(budget, int(entries.max()))
+            lo = 0
+            while lo < CHUNK:
+                draw, shape = draws.pop(0), shapes.pop(0)
+                hi = lo + shape[0]
+                assert shape[1:] == (live.max(), prev.max())
+                assert draw == entries[lo:hi].sum() <= cap
+                assert shape[0] == 1 or shape[0] * shape[1] * shape[2] <= budget
+                assert (shape[0] < CHUNK) == sliced
+                dead_seen |= shape[0] > 1 and bool(np.any(live[lo:hi] == 0))
+                lo = hi
+            assert lo == CHUNK
+        assert not draws
+        assert dead_seen == dead_in_slice
+
+    def test_slicing_and_threads_do_not_change_batch(self, monkeypatch):
+        # the slice budget only sets how many trials a layer draws and
+        # contracts at once: every budget and thread count gives the batch
+        # of the default budget, bit for bit
+        for widths, p, law_name, u_name in [
+            ((6, 6, 6, 6), F(1, 2), "gaussian", "uniform"),
+            ((5, 4, 6, 3), 1, "uniform", "generic"),
+            ((7, 5, 5, 6), F(2, 3), "rademacher", "e1"),
+        ]:
+            cfg = make_config(widths, p, law_from_name(law_name))
+            u = replay_input(u_name, widths[0])
+            reference = run_trials(cfg, u, 700, seed=12, threads=1)
+            for budget in (1, 37, 1000):
+                monkeypatch.setattr(montecarlo, "SLICE_ENTRIES", budget)
+                for threads in (1, 2, 3):
+                    batch = run_trials(cfg, u, 700, seed=12, threads=threads)
+                    assert np.array_equal(batch.samples, reference.samples)
+                    assert batch.zero_event_count == reference.zero_event_count
+
+    @pytest.mark.parametrize(
+        "widths, p, law",
+        [
+            ((4, 4, 4, 4), 1, rademacher()),
+            ((3, 5, 5, 5), F(1, 2), rademacher()),
+            ((4, 4, 4, 4), 1, discrete_symmetric([(-2, F(1, 8)), (0, F(3, 4)), (2, F(1, 8))])),
+        ],
+    )
+    def test_exact_cancellation_is_a_zero_event(self, widths, p, law):
+        # an atomic law's product can vanish exactly; the float contraction
+        # leaves a residue near 1e-33 that must count as a zero event, not as
+        # a log near -75.  The exact zero probability comes from a DP over the
+        # integer vectors X_i ... X_1 x0, x0 = (1, ..., 1)
+        trials = 100_000
+        batch = run_trials(make_config(widths, p, law), UnitVector.uniform(widths[0]), trials, 1)
+        assert not np.any(batch.samples < -20.0)
+        q = atomic_zero_probability(widths, p, law)
+        tolerance = 4 * math.sqrt(q * (1 - q) / trials)
+        assert abs(batch.zero_event_rate - q) <= tolerance
 
     def test_batch_invariants_validated(self):
         with pytest.raises(ValueError):
