@@ -10,6 +10,13 @@ initialized ReLU networks.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# The block engine is the process's only thread pool: idle OpenBLAS workers
+# busy-wait on a CPU, and a long dot product they split sums in an order set
+# by their number, so the last digits of a statistic would follow the CPU count.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distributions import (
     DistributionSpec,
     discrete_symmetric,

@@ -41,7 +41,7 @@ and a thread holds about one slice of weights at a time instead of a
 ``(CHUNK, n, n)`` block.
 
 The ``MATPROD_THREADS`` environment variable caps worker threads; the default
-is the machine's CPU count.
+is the number of CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -93,6 +93,8 @@ def resolve_threads(threads: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             raise UsageError(f"MATPROD_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -180,26 +182,32 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
         live = np.count_nonzero(rng.random((CHUNK, n)) < p, axis=1)
         rows, cols = int(live.max()), int(prev.max())
         step = max(1, SLICE_ENTRIES // max(1, rows * cols))
+        row_mask = np.arange(rows) < live[:, None]
+        col_mask = np.arange(cols) < prev[:, None]
         v = np.empty((CHUNK, rows))
         for lo in range(0, CHUNK, step):
             hi = min(lo + step, CHUNK)
-            shape = (hi - lo, rows, cols)
-            v[lo:hi] = _contract_slice(law, rng, live[lo:hi], prev[lo:hi], shape, u[lo:hi])
+            v[lo:hi] = _contract_slice(
+                law, rng, live[lo:hi], prev[lo:hi], row_mask[lo:hi], col_mask[lo:hi], u[lo:hi]
+            )
         u = _renormalize(v, p * n, logs, alive, cancel * live * prev**3.0)
         prev = live
     return logs, alive
 
 
-def _contract_slice(law, rng, live, prev, shape, u):
-    """Draw one slice's live weight entries into a zero block of ``shape``
-    and contract it with the slice's unit vectors; returns its rows of v."""
+def _contract_slice(law, rng, live, prev, row_mask, col_mask, u):
+    """Draw one slice's live weight entries into a zero block of shape
+    (slice, rows, cols), the masks' widths, and contract it with the slice's
+    unit vectors; returns its rows of v.
+
+    The block is fresh for each slice: a reused one would keep the previous
+    slice's entries where this slice's trials have dead rows or units."""
+    shape = (live.size, row_mask.shape[1], col_mask.shape[1])
     if live.min() == shape[1] and prev.min() == shape[2]:
         weights = law.sample(rng, shape)
     else:
-        rows = np.arange(shape[1]) < live[:, None]
-        cols = np.arange(shape[2]) < prev[:, None]
         weights = np.zeros(shape)
-        weights[rows[:, :, None] & cols[:, None, :]] = law.sample(rng, int(live @ prev))
+        weights[row_mask[:, :, None] & col_mask[:, None, :]] = law.sample(rng, int(live @ prev))
     return np.matmul(weights, u[:, :, None])[:, :, 0]
 
 

@@ -11,6 +11,7 @@ import pytest
 import matprod
 from matprod.cli import main, parse_config, parse_widths
 from matprod.errors import UsageError
+from matprod.montecarlo import resolve_threads
 
 
 def read_csv(path):
@@ -264,6 +265,69 @@ class TestDeterminism:
         monkeypatch.setenv("MATPROD_THREADS", "4")
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Run in a fresh interpreter: reports OPENBLAS_NUM_THREADS and the process's
+# thread count after `import matprod` and after a one-thread simulate.
+THREAD_PROBE = """
+import json, os, sys
+
+def state():
+    tasks = "/proc/self/task"
+    count = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+    return [os.environ.get("OPENBLAS_NUM_THREADS"), count]
+
+import matprod
+after_import = state()
+from matprod.cli import main
+code = main(["simulate", "--widths", "32x3", "--trials", "300", "--threads", "1",
+             "--output", sys.argv[1]])
+print(json.dumps([after_import, state(), code]))
+"""
+
+
+class TestThreads:
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("MATPROD_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_threads() == 1
+        assert resolve_threads(3) == 3
+        monkeypatch.setenv("MATPROD_THREADS", "2")
+        assert resolve_threads() == 2
+        monkeypatch.delenv("MATPROD_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_threads() == 8
+
+    @staticmethod
+    def run_python(args, blas_threads):
+        """Run a fresh interpreter with OPENBLAS_NUM_THREADS set to
+        ``blas_threads``, or removed from the environment for None."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(matprod.__file__).resolve().parents[1])
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "preset"])
+    def test_process_runs_only_the_threads_it_asks_for(self, tmp_path, preset):
+        proc = self.run_python(["-c", THREAD_PROBE, str(tmp_path / "out.csv")], preset)
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_run, code = json.loads(proc.stdout)
+        assert code == 0
+        for blas_threads, tasks in (after_import, after_run):
+            assert blas_threads == (preset or "1")
+            if preset is None and tasks is not None:
+                assert tasks == 1
+
+    def test_bytes_do_not_follow_the_cpu_count(self):
+        # 60000 samples: OpenBLAS splits a dot product this long over its
+        # workers, one per CPU, unless OPENBLAS_NUM_THREADS caps them
+        args = ["-m", "matprod.cli", "moments", "--widths", "4,4", "--k", "2",
+                "--trials", "60000", "--threads", "1"]
+        default, single = (self.run_python(args, b) for b in (None, "1"))
+        assert default.returncode == single.returncode == 0
+        assert default.stdout == single.stdout
 
 
 class TestFormats:
