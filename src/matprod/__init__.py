@@ -70,28 +70,14 @@ from .montecarlo import (
 )
 from .pathsum import (
     CollisionRegimeWarning,
-    EdgeMultiplicity,
-    VertexTuple,
     brute_force_moment,
-    edge_weight,
     exact_moment,
-    layer_factor,
-    multiplicity_count,
     theory_moment,
-    verify_path_count,
 )
 from .relunets import (
-    ForwardTrace,
     JacobianComparison,
-    JacobianResult,
-    ReluNet,
     ReluNetConfig,
     compare_jacobian_vs_product,
-    evgp_beta,
-    forward,
-    jacobian_log_norm,
-    jacobian_matrix,
-    sample_network,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -119,10 +119,6 @@ class UnitVector:
         return int(self.coords.size)
 
     @property
-    def norm_l2(self) -> float:
-        return float(np.sqrt(self.coords @ self.coords))
-
-    @property
     def l4_norm_4(self) -> float:
         """Fourth power of the l4 norm, sum of coords**4."""
         sq = self.coords * self.coords

@@ -19,9 +19,10 @@ in a fixed order set by its domain:
     ReLU-net Jacobians (``relunets.jacobian_batch``): for each layer, the
     full weight block, then the bias block.
 
-``DOMAIN_NETS`` is not a block domain: ``relunets.sample_network`` seeds one
-generator per single network with ``(seed, DOMAIN_NETS, trial index)``, so it
-never shares a stream with a Jacobian block.
+``DOMAIN_NETS`` is not a block domain and nothing in the package draws from
+it: it stays reserved for the tests' single-network oracle, which seeds one
+generator per network with ``(seed, DOMAIN_NETS, trial index)``.  No block
+domain may reuse 3, or an oracle network would share a stream with a block.
 
 A trial's outcome is therefore a pure function of (seed, config, trial
 index) — independent of how many trials were requested, of the trial window,

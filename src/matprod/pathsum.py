@@ -38,7 +38,6 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,159 +127,6 @@ def partition_meet(sigma: Partition, tau: Partition) -> Partition:
     for el in label_s:
         groups.setdefault((label_s[el], label_t[el]), []).append(el)
     return _canonical(groups.values())
-
-
-def partition_of(values) -> Partition:
-    """Set partition of the index set induced by equal values."""
-    groups: dict[object, list[int]] = {}
-    for idx, val in enumerate(values):
-        groups.setdefault(val, []).append(idx)
-    return _canonical(groups.values())
-
-
-# ---------------------------------------------------------------------------
-# edge multiplicities and vertex tuples
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeMultiplicity:
-    """Dense nonnegative edge-use counts over a bipartite layer.
-
-    ``counts[a][b]`` is how many times the directed edge (a, b) is used, with
-    a over the left vertex set and b over the right.  Vertices are 0-based.
-    """
-
-    counts: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.counts or not self.counts[0]:
-            raise ValueError("multiplicity matrix must be nonempty")
-        width = len(self.counts[0])
-        for row in self.counts:
-            if len(row) != width:
-                raise ValueError("ragged multiplicity matrix")
-            if any(c < 0 for c in row):
-                raise ValueError("multiplicities must be nonnegative")
-
-    @classmethod
-    def from_tuples(cls, left, right, n_left: int | None = None, n_right: int | None = None):
-        left = tuple(left)
-        right = tuple(right)
-        if len(left) != len(right):
-            raise ValueError("endpoint tuples must have equal length")
-        n_left = (max(left) + 1) if n_left is None else n_left
-        n_right = (max(right) + 1) if n_right is None else n_right
-        counts = [[0] * n_right for _ in range(n_left)]
-        for a, b in zip(left, right):
-            counts[a][b] += 1
-        return cls(tuple(tuple(row) for row in counts))
-
-    @property
-    def n_left(self) -> int:
-        return len(self.counts)
-
-    @property
-    def n_right(self) -> int:
-        return len(self.counts[0])
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    @property
-    def row_sums(self) -> tuple[int, ...]:
-        """Left-endpoint use counts m(a, *)."""
-        return tuple(sum(row) for row in self.counts)
-
-    @property
-    def col_sums(self) -> tuple[int, ...]:
-        """Right-endpoint use counts m(*, b)."""
-        return tuple(sum(row[b] for row in self.counts) for b in range(self.n_right))
-
-    def doubled(self) -> "EdgeMultiplicity":
-        return EdgeMultiplicity(tuple(tuple(2 * c for c in row) for row in self.counts))
-
-    def left_multiset(self) -> tuple[int, ...]:
-        out = []
-        for a, s in enumerate(self.row_sums):
-            out.extend([a] * s)
-        return tuple(out)
-
-    def right_multiset(self) -> tuple[int, ...]:
-        out = []
-        for b, s in enumerate(self.col_sums):
-            out.extend([b] * s)
-        return tuple(out)
-
-
-def multiplicity_count(m: EdgeMultiplicity, ell: int) -> int:
-    """Number of ordered left-endpoint tuples compatible with the edge counts.
-
-    Product over right vertices of the multinomial coefficient distributing
-    that vertex's incoming uses among the left vertices.  Exact integer.
-    """
-    if m.total != ell:
-        raise ValueError(f"multiplicities sum to {m.total}, expected {ell}")
-    out = 1
-    for b in range(m.n_right):
-        out *= multinomial(m.counts[a][b] for a in range(m.n_left))
-    return out
-
-
-def edge_weight(m: EdgeMultiplicity, law: DistributionSpec) -> Fraction:
-    """Product of entry-law moments over the edge counts.
-
-    Zero as soon as any count is odd (symmetric laws have no odd moments).
-    """
-    out = Fraction(1)
-    for row in m.counts:
-        for c in row:
-            if c == 0:
-                continue
-            if c % 2 == 1:
-                return Fraction(0)
-            out *= law.moment(c)
-    return out
-
-
-@dataclass(frozen=True)
-class VertexTuple:
-    """An ordered tuple of vertices in one layer."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValueError("vertex tuple must be nonempty")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def unique_count(self) -> int:
-        return len(set(self.values))
-
-
-def layer_factor(
-    v_prev: VertexTuple, v_next: VertexTuple, law: DistributionSpec, p
-) -> Fraction | float:
-    """Per-layer collision factor for a pair of adjacent vertex tuples.
-
-    weight(2m) * count_{2k}(2m) / count_k(m) * p**(distinct(next) - k) with m
-    the edge multiplicity traced by the tuple pair.  Exact when p is rational.
-    """
-    if len(v_prev) != len(v_next):
-        raise ValueError("tuples must have equal length")
-    k = len(v_next)
-    m = EdgeMultiplicity.from_tuples(v_prev.values, v_next.values)
-    ratio = Fraction(multiplicity_count(m.doubled(), 2 * k), multiplicity_count(m, k))
-    value = edge_weight(m.doubled(), law) * ratio
-    exponent = v_next.unique_count - k
-    if isinstance(p, Fraction):
-        return value * p**exponent
-    return float(value) * float(p) ** exponent
 
 
 # ---------------------------------------------------------------------------
@@ -712,50 +558,3 @@ def _assignment_moment(config: EnsembleConfig, u: UnitVector, k: int, budget: in
             else:
                 total += float(w_prob) * float(m_prob) * (z_scale * float(sqnorm)) ** k
     return total
-
-
-# ---------------------------------------------------------------------------
-# path-count verification
-# ---------------------------------------------------------------------------
-
-
-def verify_path_count(
-    edge_sequence, v_end, ell: int, budget: int = 10**7
-) -> tuple[int, int]:
-    """Count ordered paths with a given edge sequence and endpoint, two ways.
-
-    Returns (enumerated, formula) where the formula side is the product of
-    per-layer multinomial counts; callers assert equality.  The enumeration
-    walks right-to-left over candidate tuples and never uses the formula.
-    """
-    edges = list(edge_sequence)
-    if not edges:
-        raise ValueError("edge sequence must be nonempty")
-    v_end = tuple(v_end)
-    for m in edges:
-        if m.total != ell:
-            raise ValueError("each layer must carry exactly ell edges")
-    for prev, nxt in zip(edges, edges[1:]):
-        if sorted(prev.right_multiset()) != sorted(nxt.left_multiset()):
-            raise ValueError("adjacent layers have incompatible endpoints")
-    if sorted(edges[-1].right_multiset()) != sorted(v_end):
-        raise ValueError("endpoint tuple does not match the last layer")
-
-    cost = math.prod(m.n_left**ell for m in edges)
-    if cost > budget:
-        raise BudgetExceeded(cost, budget, what="path enumeration")
-
-    formula = math.prod(multiplicity_count(m, ell) for m in edges)
-
-    def count_left(layer: int, right: tuple[int, ...]) -> int:
-        if layer < 0:
-            return 1
-        m = edges[layer]
-        total = 0
-        for cand in itertools.product(range(m.n_left), repeat=ell):
-            if EdgeMultiplicity.from_tuples(cand, right, m.n_left, m.n_right) == m:
-                total += count_left(layer - 1, cand)
-        return total
-
-    enumerated = count_left(len(edges) - 1, v_end)
-    return enumerated, formula

@@ -12,9 +12,10 @@ It draws networks in blocks of ``CHUNK`` on the ensemble sampler's block
 engine, and for each block propagates the inputs and the tangent vectors of
 all its networks at once through the masked layers, with the same
 renormalize-and-accumulate step as the ensemble sampler; blocks run on worker
-threads and the batch does not depend on their number.  ``sample_network``
-and ``jacobian_log_norm`` do the same for one network, and a dense-matrix
-variant exists for the finite-difference check at tiny sizes.
+threads and the batch does not depend on their number.  The exact Jacobian
+of one network, as a dense matrix, lives in the tests' oracle
+(``tests/oracles.py``); the tests check this path and finite differences
+against it.
 """
 
 from __future__ import annotations
@@ -27,20 +28,12 @@ from fractions import Fraction
 import numpy as np
 
 from .distributions import DistributionSpec
-from .ensemble import (
-    Architecture,
-    BetaParams,
-    EnsembleConfig,
-    UnitVector,
-    compute_beta,
-    make_config,
-)
+from .ensemble import Architecture, EnsembleConfig, UnitVector, make_config
 from .errors import AtomicLawError, DimensionMismatch
 from .ksstats import KSReport, two_sample_ks
 from .montecarlo import (
     CHUNK,
     DOMAIN_NET_BLOCKS,
-    DOMAIN_NETS,
     SampleBatch,
     _collect_chunks,
     _renormalize,
@@ -86,130 +79,8 @@ class ReluNetConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class ReluNet:
-    """Concrete weights and biases; weights carry the sqrt(2/fan-in) scale."""
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
-
-    @property
-    def depth(self) -> int:
-        return len(self.weights)
-
-
-def sample_network(config: ReluNetConfig, trial_index: int = 0) -> ReluNet:
-    """Draw one network; per layer the weight matrix is drawn before the bias."""
-    rng = chunk_stream(config.seed, DOMAIN_NETS, trial_index)
-    widths = config.widths
-    weights = []
-    biases = []
-    for i in range(1, len(widths)):
-        n, m = widths[i], widths[i - 1]
-        w = config.weight_law.sample(rng, (n, m)) * math.sqrt(2.0 / m)
-        b = config.effective_bias_law.sample(rng, n) * config.bias_scale
-        weights.append(w)
-        biases.append(b)
-    return ReluNet(weights=tuple(weights), biases=tuple(biases))
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Input, preactivations and post-ReLU activations of every layer."""
-
-    input: np.ndarray
-    preactivations: tuple[np.ndarray, ...]
-    activations: tuple[np.ndarray, ...]
-
-
 def relu(v: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
-
-
-def forward(net: ReluNet, x) -> ForwardTrace:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.widths[0],):
-        raise DimensionMismatch(
-            f"input has shape {x.shape}, network expects ({net.widths[0]},)"
-        )
-    pres = []
-    acts = []
-    h = x
-    for w, b in zip(net.weights, net.biases):
-        pre = w @ h + b
-        h = relu(pre)
-        pres.append(pre)
-        acts.append(h)
-    return ForwardTrace(input=x, preactivations=tuple(pres), activations=tuple(acts))
-
-
-def apply_network(net: ReluNet, x) -> np.ndarray:
-    return forward(net, x).activations[-1]
-
-
-@dataclass(frozen=True)
-class JacobianResult:
-    """Dense input-output Jacobian with per-layer open-neuron counts."""
-
-    matrix: np.ndarray
-    open_counts: tuple[int, ...]
-
-
-def jacobian_matrix(net: ReluNet, x) -> JacobianResult:
-    """Exact Jacobian of the network output at x (ties at 0 count as closed).
-
-    Dense product of masked layer matrices; only meant for small nets (the
-    finite-difference check).  The statistical path uses vector propagation.
-    """
-    trace = forward(net, x)
-    jac = np.eye(net.widths[0])
-    opens = []
-    for w, pre in zip(net.weights, trace.preactivations):
-        open_mask = pre > 0.0
-        jac = (w @ jac) * open_mask[:, None]
-        opens.append(int(np.count_nonzero(open_mask)))
-    return JacobianResult(matrix=jac, open_counts=tuple(opens))
-
-
-def jacobian_log_norm(net: ReluNet, x, u: UnitVector) -> float | None:
-    """Log of (n_0/n_d) times the squared norm of the Jacobian applied to u.
-
-    Propagates u through the masked layers, renormalizing at each step; the
-    per-layer sqrt(n_{i-1}/n_i) factor folds the end-to-end width
-    normalization into the running product.  Returns None when some layer
-    zeroes the vector (all its neurons closed).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.any(x):
-        raise ValueError("evaluation input must be nonzero")
-    if u.dim != net.widths[0]:
-        raise DimensionMismatch(
-            f"u has dim {u.dim}, network expects {net.widths[0]}"
-        )
-    widths = net.widths
-    h = x
-    v = u.coords.copy()
-    logs = 0.0
-    for i, (w, b) in enumerate(zip(net.weights, net.biases), start=1):
-        pre = w @ h + b
-        h = relu(pre)
-        v = (w @ v) * (pre > 0.0)
-        raw_sq = float(v @ v)
-        if raw_sq == 0.0:
-            return None
-        logs += math.log(raw_sq * widths[i - 1] / widths[i])
-        v /= math.sqrt(raw_sq)
-    return logs
-
-
-def evgp_beta(config: ReluNetConfig, u: UnitVector) -> BetaParams:
-    """Gradient-instability parameter: the ensemble beta at mask rate 1/2."""
-    ensemble = make_config(config.widths, Fraction(1, 2), config.weight_law)
-    return compute_beta(ensemble, u)
 
 
 def default_input(dim: int) -> np.ndarray:
@@ -230,8 +101,7 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
     """Jacobian log-norms of one block of CHUNK networks; returns (logs, alive).
 
     Per layer the block draws its (CHUNK, n, m) weights, then its (CHUNK, n)
-    biases: the order of ``sample_network``, one layer of every network at a
-    time.
+    biases: one layer of every network at a time, weights before biases.
     """
     widths = cfg.widths
     h = np.broadcast_to(x, (CHUNK, widths[0]))

@@ -1,7 +1,9 @@
+# matprod is imported before numpy: importing it caps OpenBLAS at one thread,
+# and the cap only holds if it is set before numpy loads OpenBLAS.
+from matprod import rademacher, standard_gaussian, uniform_symmetric  # isort: skip
+
 import numpy as np
 import pytest
-
-from matprod import rademacher, standard_gaussian, uniform_symmetric
 
 
 @pytest.fixture

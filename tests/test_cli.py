@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,14 @@ class TestThreads:
             assert blas_threads == (preset or "1")
             if preset is None and tasks is not None:
                 assert tasks == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_test_process_runs_under_the_cap(self):
+        # conftest imports matprod before numpy, so the in-process tests run
+        # without idle OpenBLAS workers: every native thread is a Python one
+        if os.environ["OPENBLAS_NUM_THREADS"] != "1":
+            pytest.skip("OPENBLAS_NUM_THREADS was set to more than one thread")
+        assert len(os.listdir("/proc/self/task")) == threading.active_count()
 
     def test_bytes_do_not_follow_the_cpu_count(self):
         # 60000 samples: OpenBLAS splits a dot product this long over its

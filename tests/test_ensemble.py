@@ -69,6 +69,22 @@ class TestComputeBeta:
         params = compute_beta(cfg, UnitVector.uniform(64))
         assert params.beta == pytest.approx(1.25)
 
+    # the ReLU gradient-instability parameter: beta at mask rate 1/2
+    @pytest.mark.parametrize(
+        "widths, law_name, field, expected",
+        [
+            pytest.param((64,) * 17, "gauss", "beta", pytest.approx(1.25), id="constant-width"),
+            pytest.param((10, 10), "gauss", "term_fourth", 0.0, id="gaussian-fourth-term"),
+            pytest.param(
+                (10, 10, 10), "unif", "term_fourth", pytest.approx(-0.24), id="uniform-fourth-term"
+            ),
+        ],
+    )
+    def test_half_mask_hand_values(self, widths, law_name, field, expected, request):
+        cfg = make_config(widths, F(1, 2), request.getfixturevalue(law_name))
+        params = compute_beta(cfg, UnitVector.basis(widths[0]))
+        assert getattr(params, field) == expected
+
     def test_dimension_mismatch(self, gauss):
         cfg = make_config((3, 3), 1, gauss)
         with pytest.raises(DimensionMismatch):

@@ -8,20 +8,14 @@ import pytest
 
 from matprod import (
     BudgetExceeded,
-    EdgeMultiplicity,
     FloatRangeError,
     UnitVector,
-    VertexTuple,
     brute_force_moment,
     compute_beta,
     discrete_symmetric,
-    edge_weight,
     exact_moment,
-    layer_factor,
     make_config,
-    multiplicity_count,
     theory_moment,
-    verify_path_count,
 )
 from matprod.pathsum import (
     DEFAULT_BUDGET,
@@ -31,19 +25,9 @@ from matprod.pathsum import (
     integer_partitions,
     multinomial,
     partition_meet,
-    partition_of,
     set_partitions,
 )
-
-
-def enumerate_left_tuples(m: EdgeMultiplicity, ell: int) -> int:
-    """Independent oracle: count left tuples by direct enumeration."""
-    right = m.right_multiset()
-    count = 0
-    for cand in itertools.product(range(m.n_left), repeat=ell):
-        if EdgeMultiplicity.from_tuples(cand, right, m.n_left, m.n_right) == m:
-            count += 1
-    return count
+from oracles import layer_factor
 
 
 def gaussian_moment(widths, p, k):
@@ -85,78 +69,24 @@ class TestCombinatorics:
         tau = ((0, 1, 2), (3,))
         assert partition_meet(sigma, tau) == ((0, 1), (2,), (3,))
 
-    def test_partition_of(self):
-        assert partition_of((4, 7, 4)) == ((0, 2), (1,))
-
-
-class TestMultiplicityCount:
-    def test_all_single_edges(self):
-        m = EdgeMultiplicity(((1, 0), (0, 1)))
-        assert multiplicity_count(m, 2) == 1
-
-    def test_column_with_two_left_endpoints(self):
-        m = EdgeMultiplicity(((1,), (1,)))
-        assert multiplicity_count(m, 2) == 2
-
-    def test_single_double_edge_matches_enumeration(self):
-        m = EdgeMultiplicity(((2, 0), (0, 0)))
-        assert multiplicity_count(m, 2) == 1
-        assert enumerate_left_tuples(m, 2) == 1
-
-    def test_wrong_total_rejected(self):
-        with pytest.raises(ValueError):
-            multiplicity_count(EdgeMultiplicity(((1,),)), 2)
-
-    def test_random_matrices_match_enumeration(self):
-        # multiplicities generated by drawing random endpoint tuples
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            n = int(rng.integers(1, 4))
-            n2 = int(rng.integers(1, 4))
-            ell = int(rng.integers(1, 5))
-            left = tuple(int(v) for v in rng.integers(0, n, ell))
-            right = tuple(int(v) for v in rng.integers(0, n2, ell))
-            m = EdgeMultiplicity.from_tuples(left, right, n, n2)
-            assert multiplicity_count(m, ell) == enumerate_left_tuples(m, ell)
-
-
-class TestEdgeWeight:
-    def test_all_pairs_gaussian(self, gauss):
-        m = EdgeMultiplicity(((2, 0), (0, 2)))
-        assert edge_weight(m, gauss) == 1
-
-    def test_any_odd_entry_vanishes(self, gauss):
-        m = EdgeMultiplicity(((2, 1), (0, 2)))
-        assert edge_weight(m, gauss) == 0
-
-    def test_quadruple_edge_gaussian(self, gauss):
-        m = EdgeMultiplicity(((4, 0), (2, 2)))
-        assert edge_weight(m, gauss) == 3
-
-
-class TestVertexTuple:
-    def test_unique_count(self):
-        assert VertexTuple((3, 3, 1)).unique_count == 2
-
 
 class TestLayerFactor:
-    def test_distinct_tuple_gives_one(self, gauss):
-        v0 = VertexTuple((0, 1, 2))
-        v1 = VertexTuple((2, 0, 1))
-        assert layer_factor(v0, v1, gauss, F(1, 2)) == 1
+    """Hand values of the test-side tuple-level factor."""
 
-    def test_pair_with_distinct_parents(self, gauss, rad):
-        v0 = VertexTuple((0, 1))
-        v1 = VertexTuple((1, 1))
-        assert layer_factor(v0, v1, gauss, F(1, 2)) == 6
-        assert layer_factor(v0, v1, rad, F(1, 2)) == 6
-        assert layer_factor(v0, v1, gauss, F(1)) == 3
-
-    def test_pair_with_coincident_parents(self, gauss, rad):
-        v0 = VertexTuple((1, 1))
-        v1 = VertexTuple((0, 0))
-        assert layer_factor(v0, v1, gauss, F(1, 2)) == 6  # mu4/p = 3*2
-        assert layer_factor(v0, v1, rad, F(1, 2)) == 2  # mu4/p = 1*2
+    @pytest.mark.parametrize(
+        "prev, nxt, law_name, p, expected",
+        [
+            pytest.param((0, 1, 2), (2, 0, 1), "gauss", F(1, 2), 1, id="distinct-tuple"),
+            pytest.param((0, 1), (1, 1), "gauss", F(1, 2), 6, id="distinct-parents-gauss"),
+            pytest.param((0, 1), (1, 1), "rad", F(1, 2), 6, id="distinct-parents-rad"),
+            pytest.param((0, 1), (1, 1), "gauss", F(1), 3, id="distinct-parents-gauss-p1"),
+            # mu4 / p: 3 * 2 for Gaussian entries, 1 * 2 for Rademacher
+            pytest.param((1, 1), (0, 0), "gauss", F(1, 2), 6, id="coincident-parents-gauss"),
+            pytest.param((1, 1), (0, 0), "rad", F(1, 2), 2, id="coincident-parents-rad"),
+        ],
+    )
+    def test_hand_values(self, prev, nxt, law_name, p, expected, request):
+        assert layer_factor(prev, nxt, request.getfixturevalue(law_name), p) == expected
 
     def test_permutation_invariance(self, gauss):
         rng = np.random.default_rng(1)
@@ -167,9 +97,7 @@ class TestLayerFactor:
             perm = rng.permutation(k)
             xs = tuple(x[i] for i in perm)
             ys = tuple(y[i] for i in perm)
-            assert layer_factor(
-                VertexTuple(x), VertexTuple(y), gauss, F(1, 2)
-            ) == layer_factor(VertexTuple(xs), VertexTuple(ys), gauss, F(1, 2))
+            assert layer_factor(x, y, gauss, F(1, 2)) == layer_factor(xs, ys, gauss, F(1, 2))
 
 
 class TestExactMoment:
@@ -381,9 +309,8 @@ class TestPathEnsemble:
         for seq in itertools.product(
             *(itertools.product(range(n), repeat=k) for n in widths)
         ):
-            tuples = [VertexTuple(t) for t in seq]
             weight = math.prod(
-                (layer_factor(a, b, rad, p) for a, b in zip(tuples, tuples[1:])), start=F(1)
+                (layer_factor(a, b, rad, p) for a, b in zip(seq, seq[1:])), start=F(1)
             )
             total += math.prod(u.squares[a] for a in seq[0]) * weight
         total /= math.prod(n**k for n in widths[1:])
@@ -408,39 +335,3 @@ class TestTheoryMoment:
         cfg = make_config((4, 4), 1, gauss)
         params = compute_beta(cfg, UnitVector.uniform(4))
         assert theory_moment(params, 3) == pytest.approx(math.exp(3 * params.beta))
-
-
-class TestVerifyPathCount:
-    def test_single_layer_single_path(self):
-        m = EdgeMultiplicity(((1, 0), (0, 1)))
-        assert verify_path_count([m], (0, 1), 2) == (1, 1)
-
-    def test_single_layer_two_paths(self):
-        m = EdgeMultiplicity(((1,), (1,)))
-        assert verify_path_count([m], (0, 0), 2) == (2, 2)
-
-    def test_chained_layers(self):
-        first = EdgeMultiplicity(((1,), (1,)))
-        second = EdgeMultiplicity(((2,),))
-        assert verify_path_count([first, second], (0, 0), 2) == (2, 2)
-
-    def test_random_edge_sequences(self, rng):
-        # sequences generated from random path tuples are always consistent
-        for _ in range(25):
-            d = int(rng.integers(1, 4))
-            widths = [int(v) for v in rng.integers(1, 4, d + 1)]
-            ell = int(rng.integers(1, 4))
-            tuples = [tuple(int(v) for v in rng.integers(0, n, ell)) for n in widths]
-            edges = [
-                EdgeMultiplicity.from_tuples(tuples[i], tuples[i + 1], widths[i], widths[i + 1])
-                for i in range(d)
-            ]
-            enumerated, formula = verify_path_count(edges, tuples[-1], ell)
-            assert enumerated == formula
-            assert enumerated >= 1
-
-    def test_inconsistent_sequence_rejected(self):
-        first = EdgeMultiplicity(((2,),))
-        second = EdgeMultiplicity(((1,), (1,)))
-        with pytest.raises(ValueError):
-            verify_path_count([first, second], (0, 0), 2)

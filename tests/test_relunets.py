@@ -8,28 +8,17 @@ from matprod import (
     Architecture,
     AtomicLawError,
     DimensionMismatch,
-    ReluNet,
     ReluNetConfig,
     UnitVector,
     compare_jacobian_vs_product,
-    evgp_beta,
-    forward,
-    jacobian_log_norm,
-    jacobian_matrix,
     make_config,
     rademacher,
-    sample_network,
     two_sample_ks,
     zero_event_probability,
 )
 from matprod.montecarlo import CHUNK, DOMAIN_NET_BLOCKS, chunk_stream
-from matprod.relunets import (
-    _jacobian_chunk,
-    apply_network,
-    default_input,
-    jacobian_batch,
-    relu,
-)
+from matprod.relunets import _jacobian_chunk, default_input, jacobian_batch, relu
+from oracles import dense_jacobian, forward, sample_network
 
 
 def tiny_config(gauss, widths=(5, 6, 4, 3), seed=42, bias_scale=1.0):
@@ -49,66 +38,30 @@ class TestConfig:
 
     def test_weight_scale_is_two_over_fan_in(self, gauss):
         cfg = tiny_config(gauss, widths=(50, 80), seed=1)
-        net = sample_network(cfg, 0)
-        assert net.weights[0].shape == (80, 50)
-        assert float(np.var(net.weights[0])) == pytest.approx(2 / 50, rel=0.15)
+        weights, _ = sample_network(cfg, 0)
+        assert weights[0].shape == (80, 50)
+        assert float(np.var(weights[0])) == pytest.approx(2 / 50, rel=0.15)
 
 
 class TestForward:
     def test_relu_componentwise(self):
         assert relu(np.array([-1.0, 2.0])) == pytest.approx([0.0, 2.0])
 
+    # the forward pass of the test-side oracle
     def test_all_negative_preactivations_zero_out(self):
-        net = ReluNet(
-            weights=(np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]])),
-            biases=(np.array([-10.0, -10.0]), np.array([5.0])),
-        )
-        trace = forward(net, np.array([1.0]))
-        assert np.all(trace.activations[0] == 0.0)
-        assert trace.activations[1] == pytest.approx([5.0])
+        weights = [np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]])]
+        biases = [np.array([-10.0, -10.0]), np.array([5.0])]
+        out, pres = forward(weights, biases, np.array([1.0]))
+        assert np.all(pres[0] < 0.0)
+        assert out == pytest.approx([5.0])
 
     def test_scaled_identity_passthrough(self):
-        net = ReluNet(weights=(np.eye(3) * 0.5,), biases=(np.zeros(3),))
         x = np.array([2.0, 4.0, 6.0])
-        trace = forward(net, x)
-        assert trace.activations[0] == pytest.approx(0.5 * x)
-
-    def test_dimension_mismatch(self, gauss):
-        net = sample_network(tiny_config(gauss), 0)
-        with pytest.raises(DimensionMismatch):
-            forward(net, np.zeros(7))
+        out, _ = forward([np.eye(3) * 0.5], [np.zeros(3)], x)
+        assert out == pytest.approx(0.5 * x)
 
 
 class TestJacobian:
-    def test_scalar_open_neuron(self):
-        net = ReluNet(weights=(np.array([[2.0]]),), biases=(np.array([0.5]),))
-        value = jacobian_log_norm(net, np.array([1.0]), UnitVector.basis(1))
-        assert value == pytest.approx(math.log(4.0))
-
-    def test_scalar_dead_neuron(self):
-        net = ReluNet(weights=(np.array([[2.0]]),), biases=(np.array([-5.0]),))
-        assert jacobian_log_norm(net, np.array([1.0]), UnitVector.basis(1)) is None
-
-    def test_zero_input_rejected(self, gauss):
-        net = sample_network(tiny_config(gauss), 0)
-        with pytest.raises(ValueError):
-            jacobian_log_norm(net, np.zeros(5), UnitVector.uniform(5))
-
-    def test_matrix_and_vector_paths_agree(self, gauss):
-        cfg = tiny_config(gauss)
-        u = UnitVector.uniform(5)
-        x = default_input(5)
-        for t in range(10):
-            net = sample_network(cfg, t)
-            dense = jacobian_matrix(net, x)
-            ju = dense.matrix @ u.coords
-            sq = float(ju @ ju)
-            value = jacobian_log_norm(net, x, u)
-            if sq == 0.0:
-                assert value is None
-            else:
-                assert value == pytest.approx(math.log(5 / 3 * sq), rel=1e-10)
-
     def test_finite_difference_agreement(self, gauss):
         # ReLU nets are exactly linear away from activation boundaries
         eps = 1e-6
@@ -120,15 +73,15 @@ class TestJacobian:
             trial += 1
             widths = tuple(int(w) for w in rng.integers(2, 9, size=int(rng.integers(2, 5))))
             cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, seed=1234)
-            net = sample_network(cfg, trial)
+            weights, biases = sample_network(cfg, trial)
             x = rng.standard_normal(widths[0])
-            trace = forward(net, x)
-            if min(float(np.min(np.abs(p))) for p in trace.preactivations) <= margin:
+            out, pres = forward(weights, biases, x)
+            if min(float(np.min(np.abs(p))) for p in pres) <= margin:
                 continue
             direction = rng.standard_normal(widths[0])
             u = UnitVector.from_coords(direction / np.linalg.norm(direction))
-            fd = (apply_network(net, x + eps * u.coords) - apply_network(net, x)) / eps
-            ju = jacobian_matrix(net, x).matrix @ u.coords
+            fd = (forward(weights, biases, x + eps * u.coords)[0] - out) / eps
+            ju = dense_jacobian(weights, biases, x) @ u.coords
             assert float(np.max(np.abs(fd - ju))) <= 1e-5
             checked += 1
 
@@ -140,9 +93,8 @@ class TestJacobian:
         opens = 0
         neurons = 0
         for t in range(nets):
-            net = sample_network(cfg, t)
-            result = jacobian_matrix(net, x)
-            opens += sum(result.open_counts)
+            _, pres = forward(*sample_network(cfg, t), x)
+            opens += sum(int(np.count_nonzero(pre > 0.0)) for pre in pres)
             neurons += sum(widths[1:])
         rate = opens / neurons
         se = math.sqrt(0.25 / neurons)
@@ -165,16 +117,12 @@ class TestBlockEngine:
             biases.append(unif.sample(rng, (CHUNK, n)) * 0.5)
         dead = 0
         for t in range(CHUNK):
-            net = ReluNet(weights=tuple(w[t] for w in weights), biases=tuple(b[t] for b in biases))
-            value = jacobian_log_norm(net, x, u)
-            ju = jacobian_matrix(net, x).matrix @ u.coords
+            ju = dense_jacobian([w[t] for w in weights], [b[t] for b in biases], x) @ u.coords
             sq = float(ju @ ju)
-            if value is None:
-                assert not alive[t] and sq == 0.0
+            assert alive[t] == (sq > 0.0)
+            if sq == 0.0:
                 dead += 1
             else:
-                assert alive[t]
-                assert logs[t] == pytest.approx(value, rel=1e-12)
                 assert logs[t] == pytest.approx(math.log(5 / 3 * sq), rel=1e-10)
         assert 0 < dead < CHUNK
 
@@ -202,20 +150,6 @@ class TestBlockEngine:
             jacobian_batch(cfg, 10, u=UnitVector.uniform(4))
         with pytest.raises(DimensionMismatch):
             jacobian_batch(cfg, 10, x=np.ones(4))
-
-
-class TestEvgpBeta:
-    def test_constant_width(self, gauss):
-        cfg = ReluNetConfig(architecture=Architecture((64,) + (64,) * 16), weight_law=gauss)
-        assert evgp_beta(cfg, UnitVector.basis(64)).beta == pytest.approx(1.25)
-
-    def test_gaussian_fourth_term_vanishes(self, gauss):
-        cfg = ReluNetConfig(architecture=Architecture((10, 10)), weight_law=gauss)
-        assert evgp_beta(cfg, UnitVector.basis(10)).term_fourth == 0.0
-
-    def test_uniform_law_fourth_term(self, unif):
-        cfg = ReluNetConfig(architecture=Architecture((10, 10, 10)), weight_law=unif)
-        assert evgp_beta(cfg, UnitVector.basis(10)).term_fourth == pytest.approx(-0.24)
 
 
 class TestComparison:
