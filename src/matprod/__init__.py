@@ -6,10 +6,22 @@ log is approximately normal with closed-form mean and variance, its integer
 moments admit an exact path-sum evaluation, and at mask rate 1/2 the whole
 ensemble coincides in law with input-output Jacobians of randomly
 initialized ReLU networks.
+
+Importing the package loads no numpy: the closed form (``compute_beta``) and
+the exact moments (``exact_moment``, ``brute_force_moment``) run on Python
+integers, fractions and floats.  The sampler side loads on first access: the
+modules ``ksstats``, ``montecarlo`` and ``relunets`` and their exported
+names ``KSReport``, ``SummaryStats``, ``normal_cdf``,
+``one_sample_critical_5pct``, ``one_sample_ks``, ``summary``,
+``two_sample_ks``, ``MomentEstimate``, ``SampleBatch``,
+``chi_square_product_sampler``, ``empirical_moment``, ``ks_to_gaussian``,
+``run_trials``, ``JacobianComparison``, ``ReluNetConfig`` and
+``compare_jacobian_vs_product``.
 """
 
 __version__ = "0.1.0"
 
+import importlib as _importlib
 import os as _os
 
 # The block engine is the process's only thread pool: idle OpenBLAS workers
@@ -51,33 +63,38 @@ from .errors import (
     NormalizationError,
     UsageError,
 )
-from .ksstats import (
-    KSReport,
-    SummaryStats,
-    normal_cdf,
-    one_sample_critical_5pct,
-    one_sample_ks,
-    summary,
-    two_sample_ks,
-)
-from .montecarlo import (
-    MomentEstimate,
-    SampleBatch,
-    chi_square_product_sampler,
-    empirical_moment,
-    ks_to_gaussian,
-    run_trials,
-)
 from .pathsum import (
     CollisionRegimeWarning,
     brute_force_moment,
     exact_moment,
     theory_moment,
 )
-from .relunets import (
-    JacobianComparison,
-    ReluNetConfig,
-    compare_jacobian_vs_product,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The sampler side needs numpy, which takes longer to import than the rest
+# of the package together, so its modules and their names below load on
+# first access (PEP 562).
+_LAZY_MODULES = {
+    "ksstats": ("KSReport", "SummaryStats", "normal_cdf", "one_sample_critical_5pct",
+                "one_sample_ks", "summary", "two_sample_ks"),
+    "montecarlo": ("MomentEstimate", "SampleBatch", "chi_square_product_sampler",
+                   "empirical_moment", "ks_to_gaussian", "run_trials"),
+    "relunets": ("JacobianComparison", "ReluNetConfig", "compare_jacobian_vs_product"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | {*_LAZY_MODULES, *_LAZY})
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        # importing a submodule binds it in this namespace
+        return _importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -24,12 +24,12 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .distributions import (
@@ -44,20 +44,12 @@ from .ensemble import (
     make_config,
 )
 from .errors import BudgetExceeded, FloatRangeError, MatprodError, UsageError
-from .ksstats import one_sample_critical_5pct, summary, two_sample_ks
-from .montecarlo import (
-    chi_square_product_sampler,
-    empirical_moment,
-    ks_to_gaussian,
-    run_trials,
-)
 from .pathsum import brute_force_moment, exact_moment, theory_moment
-from .relunets import (
-    COMPARISON_MIN_TRIALS,
-    ReluNetConfig,
-    compare_jacobian_vs_product,
-    default_input,
-)
+
+# numpy and the samplers load inside the subcommands that use them, so that
+# beta and moments --trials 0 start without them.
+if TYPE_CHECKING:
+    import numpy as np
 
 _SUBCOMMANDS = (
     "beta",
@@ -266,6 +258,8 @@ def resolve_law(config: ExperimentConfig) -> DistributionSpec:
 
 def _load_coords(spec: str, dim: int, flag: str, names: str) -> np.ndarray:
     """The coordinates in file spec: dim finite numbers, not all zero."""
+    import numpy as np
+
     try:
         coords = np.loadtxt(spec, dtype=np.float64).reshape(-1)
     except (OSError, ValueError):
@@ -284,6 +278,8 @@ def resolve_u(spec: str, dim: int) -> UnitVector:
         return UnitVector.basis(dim)
     if spec == "uniform":
         return UnitVector.uniform(dim)
+    import numpy as np
+
     coords = _load_coords(spec, dim, "--u", "e1, uniform")
     with np.errstate(over="ignore", under="ignore"):
         nrm = float(np.sqrt(coords @ coords))
@@ -293,6 +289,10 @@ def resolve_u(spec: str, dim: int) -> UnitVector:
 
 
 def resolve_x(spec: str, dim: int) -> np.ndarray:
+    import numpy as np
+
+    from .relunets import default_input
+
     if spec == "ones":
         return default_input(dim)
     if spec == "e1":
@@ -362,11 +362,11 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, Fraction):
         value = float(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return format(float(value), ".17g")
     return str(value)
 
@@ -457,6 +457,9 @@ def _run_beta(config: ExperimentConfig):
 
 
 def _run_simulate(config: ExperimentConfig):
+    from .ksstats import summary
+    from .montecarlo import run_trials
+
     ens, u = _ensemble(config)
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     params = compute_beta(ens, u)
@@ -494,7 +497,11 @@ def _run_simulate(config: ExperimentConfig):
 def _run_moments(config: ExperimentConfig):
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
-    batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
+    batch = None
+    if config.trials > 0:
+        from .montecarlo import empirical_moment, run_trials
+
+        batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     columns = [
         "k", "exact", "brute_force", "monte_carlo", "mc_stderr", "theory",
         "beta", "zero_event_rate", "reason",
@@ -522,7 +529,7 @@ def _run_moments(config: ExperimentConfig):
         except FloatRangeError as exc:
             reasons.append(f"theory: {exc}")
         estimate = None
-        if batch.trials >= 2:
+        if config.trials >= 2:
             estimate = empirical_moment(batch, k)
         else:
             reasons.append("monte_carlo: needs at least 2 trials")
@@ -534,7 +541,7 @@ def _run_moments(config: ExperimentConfig):
             "mc_stderr": estimate.stderr if estimate else None,
             "theory": theory,
             "beta": params.beta,
-            "zero_event_rate": batch.zero_event_rate,
+            "zero_event_rate": batch.zero_event_rate if batch else 0.0,
             "reason": "; ".join(reasons) if reasons else None,
         }
         rows.append(row)
@@ -548,6 +555,9 @@ def _run_moments(config: ExperimentConfig):
 
 
 def _run_ks_test(config: ExperimentConfig):
+    from .ksstats import one_sample_critical_5pct
+    from .montecarlo import ks_to_gaussian, run_trials
+
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
@@ -575,6 +585,9 @@ def _run_ks_test(config: ExperimentConfig):
 def _run_chi2_check(config: ExperimentConfig):
     if config.dist != "gaussian" or config.p != 1:
         raise UsageError("chi2-check requires --dist gaussian and --p 1")
+    from .ksstats import one_sample_critical_5pct, summary, two_sample_ks
+    from .montecarlo import chi_square_product_sampler, ks_to_gaussian, run_trials
+
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     product = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
@@ -607,6 +620,8 @@ def _run_chi2_check(config: ExperimentConfig):
 
 
 def _run_jacobian_compare(config: ExperimentConfig):
+    from .relunets import COMPARISON_MIN_TRIALS, ReluNetConfig, compare_jacobian_vs_product
+
     if config.trials < COMPARISON_MIN_TRIALS:
         raise UsageError(
             f"jacobian-compare needs --trials >= {COMPARISON_MIN_TRIALS}, got {config.trials}"

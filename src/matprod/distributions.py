@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import AsymmetryError, NormalizationError
 
@@ -25,6 +24,9 @@ _KNOWN_KINDS = (GAUSSIAN, RADEMACHER, UNIFORM_SYMMETRIC, DISCRETE_SYMMETRIC)
 
 # Uniform on [-sqrt(3), sqrt(3)] has variance 1.
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,8 @@ class DistributionSpec:
         The draw order for a given shape is fixed per kind, so a seeded
         generator fully determines the output.
         """
+        import numpy as np
+
         if self.kind == GAUSSIAN:
             return rng.standard_normal(shape)
         if self.kind == RADEMACHER:

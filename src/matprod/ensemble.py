@@ -16,13 +16,16 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .distributions import DistributionSpec
 from .errors import DimensionMismatch
 
 _UNIT_NORM_TOL = 1e-12
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -90,65 +93,81 @@ def make_config(widths, p, entry_law: DistributionSpec) -> EnsembleConfig:
 class UnitVector:
     """A unit vector with cached norms and, when known, exact squared coords.
 
+    ``values`` holds the coordinates as Python floats, so the closed form and
+    the exact moments never load numpy; ``coords`` is the same vector as a
+    read-only float64 array, built on first access for the samplers.
     ``squares`` holds exact squared coordinates (used by the rational moment
     engine); it is populated by the ``basis``/``uniform`` constructors and by
     ``from_squares``, and left None for arbitrary float input.
     """
 
-    coords: np.ndarray
+    values: tuple[float, ...]
     squares: tuple[Fraction, ...] | None = None
     label: str = "custom"
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64)
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        if coords.ndim != 1 or coords.size == 0:
+        if getattr(self.values, "ndim", 1) != 1:
             raise ValueError("unit vector must be a nonempty 1-d array")
-        nrm = float(np.sqrt(coords @ coords))
+        try:
+            values = tuple(map(float, self.values))
+        except TypeError:
+            raise ValueError("unit vector must be a nonempty 1-d array") from None
+        object.__setattr__(self, "values", values)
+        if not values:
+            raise ValueError("unit vector must be a nonempty 1-d array")
+        nrm = math.sqrt(math.fsum(c * c for c in values))
         if abs(nrm - 1.0) > _UNIT_NORM_TOL:
             raise ValueError(f"vector norm is {nrm}, expected 1 within {_UNIT_NORM_TOL}")
         if self.squares is not None:
-            if len(self.squares) != coords.size:
+            if len(self.squares) != len(values):
                 raise ValueError("squares length does not match coordinates")
             if sum(self.squares) != 1:
                 raise ValueError("exact squared coordinates must sum to 1")
 
+    @cached_property
+    def coords(self) -> np.ndarray:
+        import numpy as np
+
+        coords = np.array(self.values, dtype=np.float64)
+        coords.setflags(write=False)
+        return coords
+
     @property
     def dim(self) -> int:
-        return int(self.coords.size)
+        return len(self.values)
 
     @property
     def l4_norm_4(self) -> float:
-        """Fourth power of the l4 norm, sum of coords**4."""
+        """Fourth power of the l4 norm, sum of coords**4: correctly rounded
+        from the exact squares when they are known."""
+        if self.squares is not None:
+            return float(sum(s * s for s in self.squares))
         sq = self.coords * self.coords
         return float(sq @ sq)
 
     @classmethod
     def basis(cls, dim: int, index: int = 0) -> "UnitVector":
-        coords = np.zeros(dim)
-        coords[index] = 1.0
+        values = tuple(1.0 if i == index else 0.0 for i in range(dim))
         squares = tuple(
             Fraction(1) if i == index else Fraction(0) for i in range(dim)
         )
-        return cls(coords, squares, label=f"e{index + 1}")
+        return cls(values, squares, label=f"e{index + 1}")
 
     @classmethod
     def uniform(cls, dim: int) -> "UnitVector":
-        coords = np.full(dim, dim**-0.5)
+        values = (dim**-0.5,) * dim
         squares = (Fraction(1, dim),) * dim
-        return cls(coords, squares, label="uniform")
+        return cls(values, squares, label="uniform")
 
     @classmethod
     def from_coords(cls, coords) -> "UnitVector":
-        return cls(np.asarray(coords, dtype=np.float64))
+        return cls(coords)
 
     @classmethod
     def from_squares(cls, squares) -> "UnitVector":
         """Build a nonnegative unit vector from exact squared coordinates."""
         sq = tuple(Fraction(s) for s in squares)
-        coords = np.sqrt(np.array([float(s) for s in sq]))
-        return cls(coords, sq)
+        return cls(tuple(math.sqrt(s) for s in sq), sq)
 
 
 @dataclass(frozen=True)
@@ -189,11 +208,12 @@ def predict_layer_variance(u_current, n_next: int, p: float, mu4: float) -> floa
 
     Matches the closed form (3/p - 1)/n + (mu4 - 3)/(p n) * ||u||_4^4/||u||_2^4.
     """
-    coords = u_current.coords if isinstance(u_current, UnitVector) else np.asarray(u_current, dtype=np.float64)
-    sq = coords @ coords
+    values = u_current.values if isinstance(u_current, UnitVector) else u_current
+    squares = [float(c) ** 2 for c in values]
+    sq = math.fsum(squares)
     if sq == 0.0:
         raise ValueError("current vector must be nonzero")
-    quart = float((coords * coords) @ (coords * coords)) / float(sq) ** 2
+    quart = math.fsum(s * s for s in squares) / sq**2
     p = float(p)
     return (3.0 / p - 1.0) / n_next + (mu4 - 3.0) / (p * n_next) * quart
 

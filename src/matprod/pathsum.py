@@ -41,8 +41,6 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .distributions import DistributionSpec
 from .ensemble import BetaParams, EnsembleConfig, UnitVector
 from .errors import BudgetExceeded, DimensionMismatch, FloatRangeError
@@ -231,6 +229,9 @@ def _exact_power_sums(u: UnitVector, k: int):
         return [None] + [
             sum((s**m for s in u.squares), Fraction(0)) for m in range(1, k + 1)
         ]
+    # u without exact squares; at the CLI, a file u that numpy has read
+    import numpy as np
+
     sq = u.coords * u.coords
     return [None] + [float(np.sum(sq**m)) for m in range(1, k + 1)]
 
@@ -386,8 +387,7 @@ def _bf_initial_masses(u: UnitVector, k: int):
                 mass *= u.squares[el] ** (c // 2)
             masses.append(mass)
         return masses, True
-    coords = [float(c) for c in u.coords]
-    return [math.prod(coords[el] for el in t) for t in tuples], False
+    return [math.prod(u.values[el] for el in t) for t in tuples], False
 
 
 def brute_force_moment(
@@ -492,7 +492,7 @@ def _assignment_moment(config: EnsembleConfig, u: UnitVector, k: int, budget: in
 
     exact = (
         u.squares is not None
-        and bool(np.all(u.coords >= 0.0))
+        and all(c >= 0.0 for c in u.values)
         and len({s for s in u.squares if s != 0}) == 1
     )
     if exact:
@@ -503,7 +503,7 @@ def _assignment_moment(config: EnsembleConfig, u: UnitVector, k: int, budget: in
         base_vec = [Fraction(1) if i in set(nonzero) else Fraction(0) for i in range(widths[0])]
         u_scale = u.squares[nonzero[0]]  # squared coordinate value
     else:
-        base_vec = [float(c) for c in u.coords]
+        base_vec = list(u.values)
         u_scale = 1.0
 
     probs = dict(pairs)

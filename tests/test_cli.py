@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import matprod
-from matprod.cli import main, parse_config, parse_widths
+from matprod.cli import _fmt, _json_value, main, parse_config, parse_widths
 from matprod.errors import UsageError
 from matprod.montecarlo import resolve_threads
 
@@ -241,6 +243,17 @@ class TestMomentsCommand:
             "budget is 10000000" in rows[0]["reason"]
         )
 
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_too_few_trials_row(self, tmp_path, trials):
+        # --trials 0 builds no batch at all; both print the same rows
+        out = tmp_path / "moments.csv"
+        assert main(["moments", "--widths", "3,3", "--p", "1", "--k", "1,2",
+                     "--trials", str(trials), "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [row["zero_event_rate"] for row in rows] == ["0", "0"]
+        assert [row["monte_carlo"] + row["mc_stderr"] for row in rows] == ["", ""]
+        assert [row["reason"] for row in rows] == ["monte_carlo: needs at least 2 trials"] * 2
+
     def test_k_cap_reported_in_reason(self, tmp_path):
         out = tmp_path / "moments.csv"
         assert main(["moments", "--widths", "3,3", "--k", "9", "--trials", "0",
@@ -339,7 +352,90 @@ class TestThreads:
         assert default.stdout == single.stdout
 
 
+# Run in a fresh interpreter: reports, after the import and after each call,
+# whether numpy has been loaded, with each call's exit status.
+NUMPY_PROBE = """
+import json, os, sys
+
+import matprod, matprod.cli
+from matprod.cli import main
+
+seen = {"import": [0, "numpy" in sys.modules]}
+for law in ("gaussian", "rademacher", "uniform"):
+    for u in ("e1", "uniform"):
+        base = ["--widths", "3,2,2", "--p", "0.5", "--dist", law, "--u", u,
+                "--output", os.devnull]
+        for sub, extra in (("beta", []), ("moments", ["--k", "1,2", "--trials", "0"])):
+            code = main([sub, *base, *extra])
+            seen[f"{sub} {law} {u}"] = [code, "numpy" in sys.modules]
+code = main(["simulate", "--widths", "4,4", "--trials", "10", "--output", os.devnull])
+seen["simulate"] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+# matprod.__all__ as it stood when every module loaded at import
+PUBLIC_NAMES = [
+    "Architecture", "AsymmetryError", "AtomicLawError", "BetaParams", "BudgetExceeded",
+    "CollisionRegimeWarning", "DimensionMismatch", "DistributionSpec", "EmptyBatch",
+    "EnsembleConfig", "ErrorBudget", "FloatRangeError", "InsufficientSamples",
+    "JacobianComparison", "KSReport", "MatprodError", "MomentEstimate", "NormalizationError",
+    "ReluNetConfig", "SampleBatch", "SummaryStats", "UnitVector", "UsageError",
+    "ZeroEventEstimate", "brute_force_moment", "chi_square_product_sampler",
+    "compare_jacobian_vs_product", "compute_beta", "discrete_symmetric", "distributions",
+    "empirical_moment", "ensemble", "error_budget", "errors", "exact_moment",
+    "ks_to_gaussian", "ksstats", "law_from_name", "make_config", "montecarlo", "normal_cdf",
+    "one_sample_critical_5pct", "one_sample_ks", "pathsum", "predict_layer_variance",
+    "rademacher", "relunets", "run_trials", "standard_gaussian", "summary", "theory_moment",
+    "two_sample_ks", "uniform_symmetric", "validate_distribution", "zero_event_probability",
+]
+
+
+class TestStartup:
+    def test_only_the_samplers_load_numpy(self):
+        proc = TestThreads.run_python(["-c", NUMPY_PROBE], None)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert len(seen) == 14
+        assert seen.pop("simulate") == [0, True]
+        assert seen == {step: [0, False] for step in seen}
+
+    def test_public_names_unchanged_and_resolve(self):
+        assert sorted(matprod.__all__) == PUBLIC_NAMES
+        for name in PUBLIC_NAMES:
+            assert getattr(matprod, name) is not None
+        assert set(PUBLIC_NAMES) <= set(dir(matprod))
+        with pytest.raises(AttributeError):
+            matprod.no_such_name
+
+
 class TestFormats:
+    @pytest.mark.parametrize(
+        "value, text, json_text",
+        [
+            (True, "true", "true"),
+            (False, "false", "false"),
+            (-7, "-7", "-7"),
+            (12345678901234567890, "12345678901234567890", "12345678901234567890"),
+            (np.int64(-3), "-3", "-3"),
+            (np.float32(0.1), "0.10000000149011612", "0.10000000149011612"),
+            (np.float64(0.1), "0.10000000000000001", "0.10000000000000001"),
+            (1 / 3, "0.33333333333333331", "0.33333333333333331"),
+            (-0.0, "-0", "-0"),
+            (2.0, "2", "2"),
+            (Fraction(1, 3), "0.33333333333333331", "0.33333333333333331"),
+            (Fraction(6, 2), "3", "3"),
+            (None, "", "null"),
+            ("a,b", "a,b", '"a,b"'),
+            (math.inf, "inf", '"inf"'),
+            (-math.inf, "-inf", '"-inf"'),
+            (math.nan, "nan", '"nan"'),
+            (np.float32("nan"), "nan", '"nan"'),
+        ],
+    )
+    def test_rendered_text(self, value, text, json_text):
+        assert _fmt(value) == text
+        assert _json_value(value) == json_text
+
     def test_json_mirrors_csv(self, tmp_path):
         for base in (
             ["beta", "--widths", "4,4", "--p", "0.5", "--dist", "uniform", "--u", "uniform"],

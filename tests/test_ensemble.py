@@ -49,6 +49,39 @@ class TestUnitVector:
         u = UnitVector.from_squares([F(1, 2), F(1, 2)])
         assert u.coords == pytest.approx([2**-0.5, 2**-0.5])
 
+    def test_coords_is_a_read_only_float_array(self):
+        u = UnitVector.from_coords([0.6, 0.8])
+        assert u.values == (0.6, 0.8)
+        assert u.coords.dtype == np.float64 and u.coords.tolist() == [0.6, 0.8]
+        assert u.coords is u.coords
+        with pytest.raises(ValueError):
+            u.coords[0] = 1.0
+        with pytest.raises(ValueError):
+            UnitVector.from_coords(np.eye(2))
+        with pytest.raises(ValueError):
+            UnitVector.from_coords([])
+
+    @pytest.mark.parametrize(
+        "u",
+        [UnitVector.uniform(n) for n in range(1, 13)]
+        + [
+            UnitVector.basis(5, 2),
+            UnitVector.from_squares([F(1, 3), F(1, 6), F(1, 2)]),
+            UnitVector.from_squares([F(2, 7), F(3, 7), F(1, 7), F(1, 7)]),
+        ],
+        ids=lambda u: f"{u.label}{u.squares}",
+    )
+    def test_l4_norm_is_correctly_rounded_from_exact_squares(self, u):
+        assert u.l4_norm_4 == float(sum(s * s for s in u.squares))
+
+    def test_uniform_fourth_term_uses_the_exact_l4_norm(self, unif):
+        # (mu4 - 3) / (p n_1) ||u||_4^4 = -12/175 = -0.06857142857142857142...;
+        # the l4 norm summed from rounded coordinates gave ...589
+        params = compute_beta(make_config((7, 5), F(1, 2), unif), UnitVector.uniform(7))
+        assert format(params.term_fourth, ".17g") == "-0.068571428571428561"
+        error = abs(F(params.term_fourth) - F(-12, 175))
+        assert error < abs(F(-0.068571428571428589) - F(-12, 175))
+
 
 class TestComputeBeta:
     def test_gaussian_p1_reduces_to_width_sum(self, gauss):
