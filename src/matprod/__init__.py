@@ -9,7 +9,7 @@ initialized ReLU networks.
 
 Importing the package loads no numpy: the closed form (``compute_beta``) and
 the exact moments (``exact_moment``, ``brute_force_moment``) run on Python
-integers, fractions and floats.  The sampler side loads on first access: the
+integers and fractions.  The sampler side loads on first access: the
 modules ``ksstats``, ``montecarlo`` and ``relunets`` and their exported
 names ``KSReport``, ``SummaryStats``, ``normal_cdf``,
 ``one_sample_critical_5pct``, ``one_sample_ks``, ``summary``,

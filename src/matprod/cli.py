@@ -545,9 +545,8 @@ def _run_moments(config: ExperimentConfig):
             "reason": "; ".join(reasons) if reasons else None,
         }
         rows.append(row)
-        if exact is not None and brute is not None:
-            if exact != brute and abs(float(exact) - float(brute)) > 1e-10 * abs(float(exact)):
-                ok = False
+        if exact is not None and brute is not None and exact != brute:
+            ok = False
         if exact is not None and estimate is not None and estimate.stderr > 0:
             if abs(estimate.estimate - float(exact)) > 5 * estimate.stderr:
                 ok = False

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -96,9 +97,11 @@ class UnitVector:
     ``values`` holds the coordinates as Python floats, so the closed form and
     the exact moments never load numpy; ``coords`` is the same vector as a
     read-only float64 array, built on first access for the samplers.
-    ``squares`` holds exact squared coordinates (used by the rational moment
-    engine); it is populated by the ``basis``/``uniform`` constructors and by
-    ``from_squares``, and left None for arbitrary float input.
+    ``squares`` holds the exact squared coordinates the vector stands for,
+    which its rounded floats can miss (1/3 for ``uniform(3)``); it is
+    populated by the ``basis``/``uniform`` constructors and by
+    ``from_squares``, and left None for arbitrary float input, whose floats
+    are taken as the exact rationals they are.
     """
 
     values: tuple[float, ...]
@@ -136,14 +139,26 @@ class UnitVector:
     def dim(self) -> int:
         return len(self.values)
 
-    @property
-    def l4_norm_4(self) -> float:
-        """Fourth power of the l4 norm, sum of coords**4: correctly rounded
-        from the exact squares when they are known."""
+    @cached_property
+    def scaled_squares(self) -> tuple[tuple[int, ...], int]:
+        """The exact squared coordinates over one common denominator L, as
+        (s_i * L for each coordinate, L).
+
+        They are ``squares`` when known.  Otherwise every float coordinate is
+        a dyadic rational, so its square is exact too.
+        """
         if self.squares is not None:
-            return float(sum(s * s for s in self.squares))
-        sq = self.coords * self.coords
-        return float(sq @ sq)
+            ratios = [(s.numerator, s.denominator) for s in self.squares]
+        else:
+            ratios = [(a * a, b * b) for a, b in map(float.as_integer_ratio, self.values)]
+        common = math.lcm(*(b for _, b in ratios))
+        return tuple(a * (common // b) for a, b in ratios), common
+
+    @property
+    def l4_norm_4(self) -> Fraction:
+        """Fourth power of the l4 norm, sum of coords**4, from the exact squares."""
+        scaled, common = self.scaled_squares
+        return Fraction(sum(x * x for x in scaled), common * common)
 
     @classmethod
     def basis(cls, dim: int, index: int = 0) -> "UnitVector":
@@ -174,8 +189,9 @@ class UnitVector:
 class BetaParams:
     """Variance parameter of the limiting normal law for the log squared norm.
 
-    ``beta = term_width + term_fourth`` exactly; the limiting law for the log
-    of the normalized squared norm is Normal(-beta/2, beta).
+    ``beta = term_width + term_fourth``; each is rounded once from its exact
+    value.  The limiting law for the log of the normalized squared norm is
+    Normal(-beta/2, beta).
     """
 
     beta: float
@@ -196,11 +212,12 @@ def compute_beta(config: EnsembleConfig, u: UnitVector) -> BetaParams:
     widths = config.widths
     if u.dim != widths[0]:
         raise DimensionMismatch(f"u has dim {u.dim}, architecture starts at {widths[0]}")
-    p = config.p_float
-    term_width = (3.0 / p - 1.0) * sum(1.0 / n for n in widths[1:])
-    mu4 = config.entry_law.mu4
-    term_fourth = (mu4 - 3.0) / (p * widths[1]) * u.l4_norm_4
-    return BetaParams(term_width + term_fourth, term_width, term_fourth)
+    p = config.p
+    counts = Counter(widths[1:])
+    term_width = (3 / p - 1) * sum(Fraction(c, n) for n, c in counts.items())
+    mu4 = config.entry_law.moment(4)
+    term_fourth = (mu4 - 3) / (p * widths[1]) * u.l4_norm_4
+    return BetaParams(float(term_width + term_fourth), float(term_width), float(term_fourth))
 
 
 def predict_layer_variance(u_current, n_next: int, p: float, mu4: float) -> float:

@@ -9,23 +9,22 @@ The factor for a pair of adjacent tuples depends only on
   * the number of distinct vertices in the next tuple, through a power of
     the mask probability.
 
-Two independent evaluation routes are provided:
+Two independent evaluation routes are provided.  Both return an exact
+``Fraction`` for every starting vector: the entry-law moments and the mask
+probability are rational, and so are the squared coordinates of u, a float
+coordinate being a dyadic rational.  Both run on integers scaled to one
+running denominator and build a single ``Fraction`` at the end.
 
 ``exact_moment``
     Collapses each layer's tuple space to equivalence classes (set partitions
     of the k tuple slots), and those to their orbits under permutations of
     the slots: the block-size shapes, or integer partitions of k.  It runs a
     transfer-matrix contraction over shapes, p(k) states per layer (22 at
-    k = 8, against Bell(8) = 4140 set partitions).  Exact rational arithmetic
-    whenever the entry-law moments, the mask probability and the squared
-    input coordinates are rational; otherwise floats normalised at every
-    layer, with ``FloatRangeError`` if the result is still not finite.
+    k = 8, against Bell(8) = 4140 set partitions).
 
 ``brute_force_moment``
-    Never uses the k-tuple collapse.  Either sums over 2k-tuples of raw paths
-    layer by layer (the direct expansion of the 2k-th power of the norm), or,
-    for discrete laws on tiny instances, enumerates every weight/mask
-    assignment outright and averages the resulting norm powers.
+    Never uses the k-tuple collapse: sums over 2k-tuples of raw paths layer
+    by layer (the direct expansion of the 2k-th power of the norm).
 
 Both routes fail fast with ``BudgetExceeded`` when their documented cost
 model exceeds the evaluation budget: ``DEFAULT_BUDGET`` for the engine,
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -45,9 +43,14 @@ from .distributions import DistributionSpec
 from .ensemble import BetaParams, EnsembleConfig, UnitVector
 from .errors import BudgetExceeded, DimensionMismatch, FloatRangeError
 
-DEFAULT_BUDGET = 10**8
-# A raw-path unit costs about 1.6-2 us (widths 3-5, k = 2-3), so this admits
-# about 20 s of brute-force path summation.
+# A unit of the shape contraction, one 64-bit word of one integer product,
+# costs about 5-8 ns (widths 256-1024, depths 120-4000, k = 4-8), so this
+# admits about 20 s of contraction.  The transfer build is counted per class
+# factor, which takes about 60 us: at most 6 s, at k = 8, and once per
+# (law, p, k) in a process.
+DEFAULT_BUDGET = 3 * 10**9
+# A raw-path unit costs about 1.1-1.5 us (widths 3-5, k = 2-3), so this admits
+# about 15 s of brute-force path summation.
 PATHS_BUDGET = 10**7
 DEFAULT_K_CAP = 8
 
@@ -187,7 +190,7 @@ def _shape_transfer(law: DistributionSpec, p: Fraction, k: int):
     each shape, and R[mu][lam], the sum of T[sigma][tau_lam] over every sigma
     of shape mu against one representative tau_lam of shape lam, carries it
     from layer to layer.  Returns the shapes, the number of set partitions of
-    each shape, and R.
+    each shape, D * R as integers, and D, the lcm of R's denominators.
     """
     shapes = integer_partitions(k)
     index = {shape: i for i, shape in enumerate(shapes)}
@@ -199,13 +202,16 @@ def _shape_transfer(law: DistributionSpec, p: Fraction, k: int):
         orbit_sizes[mu] += 1
         for lam, tau in enumerate(reps):
             rows[mu][lam] += _class_factor(partition_meet(sigma, tau), tau, law, p, k)
-    return shapes, tuple(orbit_sizes), tuple(tuple(row) for row in rows)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    transfer = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    return shapes, tuple(orbit_sizes), transfer, scale
 
 
 def _initial_masses(shapes, power_sums) -> list:
     """Squared-input mass carried by one slot partition of each shape.
 
-    ``power_sums[m]`` is the sum over coordinates of squares**m.  For block
+    ``power_sums[m]`` is the sum over coordinates of x**m, x the squared
+    coordinate (times a common denominator, in the engine).  For block
     sizes (s_1..s_r) the mass is the sum over tuples of r distinct
     coordinates of the matching product of powers, computed by Moebius
     inversion over partitions of the blocks.
@@ -224,16 +230,15 @@ def _initial_masses(shapes, power_sums) -> list:
     return masses
 
 
-def _exact_power_sums(u: UnitVector, k: int):
-    if u.squares is not None:
-        return [None] + [
-            sum((s**m for s in u.squares), Fraction(0)) for m in range(1, k + 1)
-        ]
-    # u without exact squares; at the CLI, a file u that numpy has read
-    import numpy as np
-
-    sq = u.coords * u.coords
-    return [None] + [float(np.sum(sq**m)) for m in range(1, k + 1)]
+def _power_sums(scaled, k: int) -> list:
+    """[None, sum x, sum x^2, ..., sum x^k] over the nonzero integers x."""
+    nonzero = [x for x in scaled if x]
+    powers = nonzero
+    sums = [None]
+    for _ in range(k):
+        sums.append(sum(powers))
+        powers = [a * x for a, x in zip(powers, nonzero)]
+    return sums
 
 
 def _moment_preflight(config: EnsembleConfig, u: UnitVector, k: int, k_cap: int):
@@ -261,44 +266,52 @@ def exact_moment(
     k: int,
     budget: int = DEFAULT_BUDGET,
     k_cap: int = DEFAULT_K_CAP,
-) -> Fraction | float:
+) -> Fraction:
     """k-th moment of the normalized squared norm of the product applied to u.
 
-    Returns an exact Fraction when the squared coordinates of u are known
-    exactly (entry-law moments and the mask probability always are); a float
-    otherwise; raises ``FloatRangeError`` when that float is not finite.
+    Always an exact Fraction: the entry-law moments, the mask probability and
+    the squared coordinates of u are rational (a float coordinate is a dyadic
+    rational), and the contraction runs on integers.
 
     Contracts a transfer over the block-size shapes (integer partitions) of
-    the k slots.  Cost ~ Bell(k) * p(k) class factors to build the transfer,
-    once per (law, p, k), plus depth * p(k)^2 products per call.
+    the k slots.  Cost: Bell(k) * p(k) class factors to build the transfer,
+    once per (law, p, k), plus p(k)^2 integer products per layer, each
+    counted by the 64-bit words of the state.  The state starts at k *
+    bit_length(L) bits, L the common denominator of u's squares, and gains
+    bit_length(D) + k * bit_length(n) bits at a layer of width n, D the
+    common denominator of the transfer.
     """
     _moment_preflight(config, u, k, k_cap)
     n_shapes = len(integer_partitions(k))
-    cost = len(set_partitions(k)) * n_shapes + config.architecture.depth * n_shapes**2
+    cost = len(set_partitions(k)) * n_shapes
+    if cost > budget:
+        raise BudgetExceeded(cost, budget, what="shape transfer")
+    *_, scale = _shape_transfer(config.entry_law, config.p, k)
+    bits = k * u.scaled_squares[1].bit_length()
+    for n in config.architecture.inner_widths:
+        bits += scale.bit_length() + k * n.bit_length()
+        cost += n_shapes**2 * (bits // 64 + 1)
     if cost > budget:
         raise BudgetExceeded(cost, budget, what="shape transfer")
     return _shape_moment(config, u, k)
 
 
-def _shape_moment(config: EnsembleConfig, u: UnitVector, k: int):
-    shapes, orbit_sizes, transfer = _shape_transfer(config.entry_law, config.p, k)
-    exact = u.squares is not None
-    vec = _initial_masses(shapes, _exact_power_sums(u, k))
-    if not exact:
-        transfer = tuple(tuple(float(x) for x in row) for row in transfer)
-    ratio = Fraction if exact else operator.truediv
+def _shape_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
+    shapes, orbit_sizes, transfer, scale = _shape_transfer(config.entry_law, config.p, k)
+    scaled, common = u.scaled_squares
+    # every mass is a sum of products of power sums of total degree k, so the
+    # integer masses carry the common denominator common**k
+    vec = _initial_masses(shapes, _power_sums(scaled, k))
     states = range(len(shapes))
-    for n in config.architecture.inner_widths:
-        # k-tuples of each shape over n vertices, divided by n^k at every
-        # layer so that the float route stays of the order of the moment.
-        # Every term is nonnegative, so a plain sum cancels nothing, and an
-        # overflow comes through as inf where math.fsum would raise.
-        scale = [ratio(falling_factorial(n, len(shape)), n**k) for shape in shapes]
-        vec = [scale[t] * sum(vec[s] * transfer[s][t] for s in states) for t in states]
+    columns = [[(s, transfer[s][t]) for s in states if transfer[s][t]] for t in states]
+    widths = config.architecture.inner_widths
+    counts = {n: [falling_factorial(n, len(shape)) for shape in shapes] for n in set(widths)}
+    for n in widths:
+        # k-tuples of each shape over n vertices; the layer's denominator is
+        # scale * n^k
+        vec = [c * sum(vec[s] * r for s, r in col) for c, col in zip(counts[n], columns)]
     total = sum(size * w for size, w in zip(orbit_sizes, vec))
-    if not exact and not math.isfinite(total):
-        raise FloatRangeError(f"E[Z^{k}] on the float route is outside double precision")
-    return total
+    return Fraction(total, common**k * math.prod(scale * n**k for n in widths))
 
 
 def theory_moment(beta, k: int) -> float:
@@ -326,19 +339,16 @@ def _tuple_space(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _bf_transfer(n_prev: int, n_next: int, law: DistributionSpec, p: Fraction, k: int):
-    """Layer transfer over raw 2k-tuples, scaled to integers when possible.
+    """Layer transfer over raw 2k-tuples, scaled to integers.
 
-    Entry for (x, y): weight(m_{x,y}) * a^{#y} * b^{2k-#y} with p = a/b; the
-    true factor is recovered dividing by (a*b)^k per layer.  Returns the
-    matrix and the flag saying whether entries are exact ints.
+    Entry for (x, y): weight(m_{x,y}) * p^(#y - k), times the lcm of the
+    entries' denominators.  Returns the integer matrix and that lcm.
     """
-    a, b = p.numerator, p.denominator
     xs = _tuple_space(n_prev, 2 * k)
     ys = _tuple_space(n_next, 2 * k)
-    uniq = [len(set(y)) for y in ys]
+    mask_factors = [p ** (len(set(y)) - k) for y in ys]
     law_moments = {}
     rows = []
-    integral = True
     for x in xs:
         row = []
         for j, y in enumerate(ys):
@@ -353,208 +363,77 @@ def _bf_transfer(n_prev: int, n_next: int, law: DistributionSpec, p: Fraction, k
                 if c not in law_moments:
                     law_moments[c] = law.moment(c)
                 wt *= law_moments[c]
-            val = wt * a ** uniq[j] * b ** (2 * k - uniq[j])
-            if val.denominator != 1:
-                integral = False
-            row.append(val)
+            row.append(wt * mask_factors[j])
         rows.append(row)
-    if integral:
-        rows = [[int(v) for v in row] for row in rows]
-    return tuple(tuple(row) for row in rows), integral
+    scale = math.lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows), scale
 
 
-def _bf_initial_masses(u: UnitVector, k: int):
-    """Signed input mass of each raw 2k-tuple of starting vertices.
+def _bf_initial_masses(u: UnitVector, k: int) -> tuple[list[int], int]:
+    """Input mass of each raw 2k-tuple of starting vertices, as integers over
+    a common denominator.
 
-    In exact mode, tuples visiting any coordinate an odd number of times are
-    dropped outright: every even-multiplicity continuation forces even visit
-    counts at the start, so such tuples contribute nothing.  That keeps the
-    masses inside the field generated by the squared coordinates.
+    Tuples visiting any coordinate an odd number of times are dropped
+    outright, whatever the signs of u: every even-multiplicity continuation
+    forces even visit counts at the start, so such tuples contribute nothing.
+    The others carry a product of exact squared coordinates, k in all.
     """
-    n0 = u.dim
-    tuples = _tuple_space(n0, 2 * k)
-    if u.squares is not None:
-        masses = []
-        for t in tuples:
-            counts: dict[int, int] = {}
-            for el in t:
-                counts[el] = counts.get(el, 0) + 1
-            if any(c % 2 for c in counts.values()):
-                masses.append(Fraction(0))
-                continue
-            mass = Fraction(1)
-            for el, c in counts.items():
-                mass *= u.squares[el] ** (c // 2)
-            masses.append(mass)
-        return masses, True
-    return [math.prod(u.values[el] for el in t) for t in tuples], False
+    scaled, common = u.scaled_squares
+    masses = []
+    for t in _tuple_space(u.dim, 2 * k):
+        counts: dict[int, int] = {}
+        for el in t:
+            counts[el] = counts.get(el, 0) + 1
+        if any(c % 2 for c in counts.values()):
+            masses.append(0)
+            continue
+        masses.append(math.prod(scaled[el] ** (c // 2) for el, c in counts.items()))
+    return masses, common**k
 
 
 def brute_force_moment(
     config: EnsembleConfig,
     u: UnitVector,
     k: int,
-    method: str = "paths",
-    budget: int | None = None,
+    budget: int = PATHS_BUDGET,
     k_cap: int = DEFAULT_K_CAP,
-) -> Fraction | float:
+) -> Fraction:
     """k-th normalized moment without the k-tuple path collapse.
 
-    method "paths": layerwise sum over raw 2k-tuples with entry-law moment
-    weights and mask-probability powers.  Cost ~ 2k (n_{i-1} n_i)^{2k} to
+    A layerwise sum over raw 2k-tuples with entry-law moment weights and
+    mask-probability powers, in integers.  Cost ~ 2k (n_{i-1} n_i)^{2k} to
     build the transfer of each distinct width pair (every entry loops over
     the 2k edges), plus (n_{i-1} n_i)^{2k} per layer to contract it.
-    method "assignments": full enumeration of weight/mask realizations,
-    available for discrete laws on tiny instances.
-    ``budget`` defaults to ``PATHS_BUDGET`` for "paths" and to
-    ``DEFAULT_BUDGET`` for "assignments".
     """
     _moment_preflight(config, u, k, k_cap)
-    if method == "paths":
-        budget = PATHS_BUDGET if budget is None else budget
-        pairs = list(zip(config.widths, config.widths[1:]))
-        entries = {pair: (pair[0] * pair[1]) ** (2 * k) for pair in pairs}
-        cost = 2 * k * sum(entries.values()) + sum(entries[pair] for pair in pairs)
-        if cost > budget:
-            raise BudgetExceeded(cost, budget, what="raw path summation")
-        return _bf_paths_moment(config, u, k)
-    if method == "assignments":
-        return _assignment_moment(config, u, k, DEFAULT_BUDGET if budget is None else budget)
-    raise ValueError(f"unknown method {method!r}")
+    pairs = list(zip(config.widths, config.widths[1:]))
+    entries = {pair: (pair[0] * pair[1]) ** (2 * k) for pair in pairs}
+    cost = 2 * k * sum(entries.values()) + sum(entries[pair] for pair in pairs)
+    if cost > budget:
+        raise BudgetExceeded(cost, budget, what="raw path summation")
+    return _bf_paths_moment(config, u, k)
 
 
-def _bf_paths_moment(config: EnsembleConfig, u: UnitVector, k: int):
+def _bf_paths_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
     widths = config.widths
-    d = config.architecture.depth
-    masses, exact = _bf_initial_masses(u, k)
-    scale = Fraction(1)
-    if exact:
-        denom = math.lcm(*(m.denominator for m in masses)) if masses else 1
-        vec = [int(m * denom) for m in masses]
-        scale /= denom
-    else:
-        vec = list(masses)
-    for i in range(1, d + 1):
-        transfer, integral = _bf_transfer(widths[i - 1], widths[i], config.entry_law, config.p, k)
-        if exact and not integral:
-            vec = [Fraction(v) for v in vec]
-        nxt_len = len(transfer[0])
-        if exact:
-            nxt = [0] * nxt_len
-            for xi, vx in enumerate(vec):
-                if vx == 0:
-                    continue
-                row = transfer[xi]
-                for yi in range(nxt_len):
-                    if row[yi]:
-                        nxt[yi] += vx * row[yi]
-            vec = nxt
-        else:
-            tf = [[float(v) for v in row] for row in transfer]
-            vec = [
-                math.fsum(vec[xi] * tf[xi][yi] for xi in range(len(vec)))
-                for yi in range(nxt_len)
-            ]
-        scale /= (config.p.numerator * config.p.denominator) ** k
+    vec, denom = _bf_initial_masses(u, k)
+    for n_prev, n_next in zip(widths, widths[1:]):
+        transfer, scale = _bf_transfer(n_prev, n_next, config.entry_law, config.p, k)
+        nxt = [0] * len(transfer[0])
+        for vx, row in zip(vec, transfer):
+            if vx == 0:
+                continue
+            for yi, r in enumerate(row):
+                if r:
+                    nxt[yi] += vx * r
+        vec = nxt
+        denom *= scale
     # pair the path endpoints: only tuples of the form (v1,v1,...,vk,vk) count
-    nd = widths[d]
-    ys = _tuple_space(nd, 2 * k)
-    index = {y: i for i, y in enumerate(ys)}
+    nd = widths[-1]
+    index = {y: i for i, y in enumerate(_tuple_space(nd, 2 * k))}
     paired_indices = [
         index[tuple(itertools.chain.from_iterable((v, v) for v in vtuple))]
         for vtuple in itertools.product(range(nd), repeat=k)
     ]
     norm = math.prod(n**k for n in config.architecture.inner_widths)
-    if exact:
-        total = sum(vec[i] for i in paired_indices)
-        return Fraction(total) * scale / norm
-    total = math.fsum(vec[i] for i in paired_indices)
-    return total * float(scale) / float(norm)
-
-
-def _assignment_moment(config: EnsembleConfig, u: UnitVector, k: int, budget: int):
-    """Average the norm power over every weight and mask realization.
-
-    Exact for discrete entry laws when the input is a basis or uniform
-    vector (the norm of the unnormalized integer product is then rational).
-    """
-    law = config.entry_law
-    if law.atomless:
-        raise ValueError("assignment enumeration needs a discrete entry law")
-    pairs = law.support_pairs()
-    widths = config.widths
-    d = config.architecture.depth
-    n_entries = sum(widths[i] * widths[i - 1] for i in range(1, d + 1))
-    n_mask = sum(widths[1:]) if config.p != 1 else 0
-    cost = len(pairs) ** n_entries * 2**n_mask
-    if cost > budget:
-        raise BudgetExceeded(cost, budget, what="assignment enumeration")
-
-    exact = (
-        u.squares is not None
-        and all(c >= 0.0 for c in u.values)
-        and len({s for s in u.squares if s != 0}) == 1
-    )
-    if exact:
-        # uniform: work with the all-ones vector and divide by n0^k later;
-        # basis: indicator vector.  Both keep the product integer-valued
-        # (up to the law's denominators).
-        nonzero = [i for i, s in enumerate(u.squares) if s != 0]
-        base_vec = [Fraction(1) if i in set(nonzero) else Fraction(0) for i in range(widths[0])]
-        u_scale = u.squares[nonzero[0]]  # squared coordinate value
-    else:
-        base_vec = list(u.values)
-        u_scale = 1.0
-
-    probs = dict(pairs)
-    support = [v for v, _ in pairs]
-    p = config.p
-
-    mask_patterns: list[tuple[tuple[int, ...], Fraction]] = []
-    if config.p == 1:
-        mask_patterns.append((tuple([1] * sum(widths[1:])), Fraction(1)))
-    else:
-        for bits in itertools.product((0, 1), repeat=sum(widths[1:])):
-            ones = sum(bits)
-            prob = p**ones * (1 - p) ** (len(bits) - ones)
-            mask_patterns.append((bits, prob))
-
-    if exact:
-        norm_factors = math.prod(
-            (p * widths[i - 1] for i in range(1, d + 1)), start=Fraction(1)
-        )
-        z_scale = Fraction(widths[0], widths[d]) * u_scale / norm_factors
-    else:
-        norm_factors = math.prod(float(p) * widths[i - 1] for i in range(1, d + 1))
-        z_scale = widths[0] / widths[d] * u_scale / norm_factors
-
-    total = Fraction(0) if exact else 0.0
-    for entries in itertools.product(support, repeat=n_entries):
-        w_prob = math.prod(probs[e] for e in entries)
-        mats = []
-        pos = 0
-        for i in range(1, d + 1):
-            rows = []
-            for _ in range(widths[i]):
-                rows.append(entries[pos : pos + widths[i - 1]])
-                pos += widths[i - 1]
-            mats.append(rows)
-        for bits, m_prob in mask_patterns:
-            vec = base_vec
-            off = 0
-            for i in range(1, d + 1):
-                rows = mats[i - 1]
-                nxt = []
-                for r in range(widths[i]):
-                    if bits[off + r]:
-                        nxt.append(sum(rows[r][c] * vec[c] for c in range(widths[i - 1])))
-                    else:
-                        nxt.append(0 * vec[0])
-                vec = nxt
-                off += widths[i]
-            sqnorm = sum(x * x for x in vec)
-            if exact:
-                total += w_prob * m_prob * (z_scale * sqnorm) ** k
-            else:
-                total += float(w_prob) * float(m_prob) * (z_scale * float(sqnorm)) ** k
-    return total
+    return Fraction(sum(vec[i] for i in paired_indices), denom * norm)

@@ -2,12 +2,15 @@
 
 ``layer_factor`` evaluates the collision factor of one pair of vertex tuples
 straight from its definition, with no collapse to set partitions or shapes,
-so it shares no code with ``pathsum._class_factor``.  ``sample_network``,
+so it shares no code with ``pathsum._class_factor``.  ``assignment_moment``
+averages the norm power over every weight and mask realization of a discrete
+law, with no path expansion at all.  ``sample_network``,
 ``forward`` and ``dense_jacobian`` draw one ReLU network and differentiate
 it by the chain rule with dense matrices, with no renormalised vector
 propagation, so they share no code with ``relunets._jacobian_chunk``.
 """
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -37,6 +40,48 @@ def layer_factor(prev, nxt, law, p) -> Fraction:
     weight = math.prod((law.moment(c) for c in doubled.values()), start=Fraction(1))
     ratio = Fraction(_left_tuple_count(doubled), _left_tuple_count(m))
     return weight * ratio * Fraction(p) ** (len(set(nxt)) - k)
+
+
+
+def assignment_moment(config, u, k) -> Fraction:
+    """E[Z^k] by enumerating every weight and mask realization of a discrete
+    entry law, for a basis or uniform u on a tiny instance.
+
+    The product is run on the indicator vector of u's support, which keeps it
+    rational; Z rescales it by u's common squared coordinate.
+    """
+    nonzero = [i for i, s in enumerate(u.squares) if s]
+    if config.entry_law.atomless or len({u.squares[i] for i in nonzero}) != 1:
+        raise ValueError("needs a discrete entry law and a basis or uniform u")
+    widths, p = config.widths, config.p
+    d = len(widths) - 1
+    n_entries = sum(widths[i] * widths[i - 1] for i in range(1, d + 1))
+    base_vec = [Fraction(int(i in nonzero)) for i in range(widths[0])]
+    z_scale = Fraction(widths[0], widths[d]) * u.squares[nonzero[0]]
+    z_scale /= math.prod((p * widths[i - 1] for i in range(1, d + 1)), start=Fraction(1))
+    probs = dict(config.entry_law.support_pairs())
+    mask_patterns = []
+    for bits in itertools.product((0, 1), repeat=sum(widths[1:])):
+        ones = sum(bits)
+        mask_patterns.append((bits, p**ones * (1 - p) ** (len(bits) - ones)))
+    total = Fraction(0)
+    for entries in itertools.product(probs, repeat=n_entries):
+        w_prob = math.prod(probs[e] for e in entries)
+        mats, pos = [], 0
+        for i in range(1, d + 1):
+            mats.append([entries[pos + r * widths[i - 1]:pos + (r + 1) * widths[i - 1]]
+                         for r in range(widths[i])])
+            pos += widths[i] * widths[i - 1]
+        for bits, m_prob in mask_patterns:
+            vec, off = base_vec, 0
+            for i in range(1, d + 1):
+                vec = [
+                    sum(row[c] * vec[c] for c in range(widths[i - 1])) if bits[off + r] else 0
+                    for r, row in enumerate(mats[i - 1])
+                ]
+                off += widths[i]
+            total += w_prob * m_prob * (z_scale * sum(x * x for x in vec)) ** k
+    return total
 
 
 def sample_network(cfg, trial: int):

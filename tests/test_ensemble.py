@@ -71,14 +71,16 @@ class TestUnitVector:
         ],
         ids=lambda u: f"{u.label}{u.squares}",
     )
-    def test_l4_norm_is_correctly_rounded_from_exact_squares(self, u):
-        assert u.l4_norm_4 == float(sum(s * s for s in u.squares))
+    def test_l4_norm_is_the_sum_of_exact_squares_squared(self, u):
+        assert u.l4_norm_4 == sum(s * s for s in u.squares)
 
     def test_uniform_fourth_term_uses_the_exact_l4_norm(self, unif):
-        # (mu4 - 3) / (p n_1) ||u||_4^4 = -12/175 = -0.06857142857142857142...;
-        # the l4 norm summed from rounded coordinates gave ...589
+        # (mu4 - 3) / (p n_1) ||u||_4^4 = -12/175 = -0.06857142857142857142...,
+        # rounded once; the l4 norm summed from rounded coordinates gave ...589,
+        # and the float product of the exact l4 norm ...561
         params = compute_beta(make_config((7, 5), F(1, 2), unif), UnitVector.uniform(7))
-        assert format(params.term_fourth, ".17g") == "-0.068571428571428561"
+        assert format(params.term_fourth, ".17g") == "-0.068571428571428575"
+        assert params.term_fourth == float(F(-12, 175))
         error = abs(F(params.term_fourth) - F(-12, 175))
         assert error < abs(F(-0.068571428571428589) - F(-12, 175))
 

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -27,7 +28,7 @@ from matprod.pathsum import (
     partition_meet,
     set_partitions,
 )
-from oracles import layer_factor
+from oracles import assignment_moment, layer_factor
 
 
 def gaussian_moment(widths, p, k):
@@ -45,8 +46,13 @@ def gaussian_moment(widths, p, k):
             for K in range(n + 1)
         )
 
-    per_width = {n: layer(n) for n in set(widths[1:])}
-    return math.prod((per_width[n] for n in widths[1:]), start=F(1))
+    counts = Counter(widths[1:])
+    return math.prod((layer(n) ** c for n, c in counts.items()), start=F(1))
+
+
+def squared_norm(u):
+    """sum of u's squared coordinates, each float read as the rational it is"""
+    return sum(F(v) ** 2 for v in u.values)
 
 
 class TestCombinatorics:
@@ -166,41 +172,53 @@ class TestExactMoment:
             assert len(integer_partitions(k)) == count
             assert all(sum(shape) == k for shape in integer_partitions(k))
         for k in range(1, 6):
-            shapes, orbit_sizes, transfer = _shape_transfer(gauss, F(1, 2), k)
+            shapes, orbit_sizes, transfer, _ = _shape_transfer(gauss, F(1, 2), k)
             assert len(shapes) == len(transfer) == len(integer_partitions(k))
             assert sum(orbit_sizes) == len(set_partitions(k))
 
-    def test_float_route_wide_and_deep(self, gauss):
-        # 120 layers of width 1000: the unnormalised sum would pass 1e1400
+    # A Gaussian law is rotation invariant, so E[Z^k] for any u is the closed
+    # form times ||u||^(2k), exactly; a float u's squared norm is not exactly 1.
+
+    def test_float_coordinates_wide_and_deep(self, gauss):
         coords = np.random.default_rng(20181214).standard_normal(1000)
         u = UnitVector.from_coords(coords / np.sqrt(coords @ coords))
         widths = (1000,) * 121
         value = exact_moment(make_config(widths, F(1, 2), gauss), u, 4)
-        assert isinstance(value, float)
-        assert value == pytest.approx(float(gaussian_moment(widths, F(1, 2), 4)), rel=1e-9)
+        assert value == gaussian_moment(widths, F(1, 2), 4) * squared_norm(u) ** 4
 
-    def test_float_route_overflow_is_an_error(self, gauss):
+    def test_float_coordinates_beyond_double_range(self, gauss):
         # E[Z^6] here is near 1e420, outside double precision
         cfg = make_config((2,) * 101, F(1, 2), gauss)
-        with pytest.raises(FloatRangeError):
-            exact_moment(cfg, UnitVector.from_coords([0.6, 0.8]), 6)
-        assert exact_moment(cfg, UnitVector.basis(2), 6) > 10**400
+        u = UnitVector.from_coords([0.6, 0.8])
+        value = exact_moment(cfg, u, 6)
+        assert isinstance(value, F) and value > 10**400
+        assert value == gaussian_moment(cfg.widths, F(1, 2), 6) * squared_norm(u) ** 6
 
-    def test_float_coordinates_fall_back_to_float(self, gauss):
+    def test_float_coordinates_are_exact(self, gauss):
         cfg = make_config((2, 2), 1, gauss)
         u = UnitVector.from_coords([0.6, 0.8])
         value = exact_moment(cfg, u, 2)
-        assert isinstance(value, float)
-        # p=1 Gaussian is u-independent: still the chi-square value
-        assert value == pytest.approx(2.0, rel=1e-12)
+        assert isinstance(value, F)
+        # 0.6 and 0.8 are not dyadic, so the squared norm is not exactly 1
+        assert value == 2 * squared_norm(u) ** 2 != 2
+
+    def test_paper_scale_gaussian(self, gauss):
+        widths = (1024,) * 1025
+        value = exact_moment(make_config(widths, F(1, 2), gauss), UnitVector.basis(1024), 6)
+        assert value == gaussian_moment(widths, F(1, 2), 6)
 
     def test_budget_honored(self, gauss):
-        # Bell(2) * p(2) class factors plus depth * p(2)^2 products
-        cfg = make_config((3, 3, 3), 1, gauss)
-        assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=12) == F(25, 9)
+        # Bell(2) * p(2) = 4 class factors, then p(2)^2 = 4 products per layer,
+        # each counted in 64-bit words of the state.  The state starts at
+        # 2 * bit_length(3) = 4 bits (u's squares are over 3) and gains
+        # bit_length(1) + 2 * bit_length(3) = 5 bits per layer (the Gaussian
+        # p = 1 transfer is integral), so it fits one word at layers 1-11 and
+        # takes two at layers 12-20: 4 + 4 * (11 + 2 * 9) = 120.
+        cfg = make_config((3,) * 21, 1, gauss)
+        assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=120) == F(5, 3) ** 20
         with pytest.raises(BudgetExceeded) as err:
-            exact_moment(cfg, UnitVector.uniform(3), 2, budget=11)
-        assert err.value.estimate == 12
+            exact_moment(cfg, UnitVector.uniform(3), 2, budget=119)
+        assert err.value.estimate == 120
 
     def test_k_cap(self, gauss):
         cfg = make_config((3, 3), 1, gauss)
@@ -244,7 +262,7 @@ class TestBruteForce:
             cfg = make_config(widths, p, law)
             for u in (UnitVector.basis(widths[0]), UnitVector.uniform(widths[0])):
                 paths = brute_force_moment(cfg, u, 2)
-                assignments = brute_force_moment(cfg, u, 2, method="assignments")
+                assignments = assignment_moment(cfg, u, 2)
                 exact = exact_moment(cfg, u, 2)
                 assert paths == assignments == exact
 
@@ -287,13 +305,14 @@ class TestBruteForce:
         u = UnitVector.basis(widths[0]) if u_name == "e1" else UnitVector.uniform(widths[0])
         assert brute_force_moment(cfg, u, k) == exact_moment(cfg, u, k)
 
-    def test_float_mode_close_to_exact(self, gauss):
-        cfg = make_config((2, 3), 1, gauss)
-        u = UnitVector.from_coords([0.6, 0.8])
-        assert brute_force_moment(cfg, u, 2) == pytest.approx(
-            float(exact_moment(make_config((2, 3), 1, gauss), UnitVector.uniform(2), 2)),
-            rel=1e-12,
-        )
+    def test_float_coordinates_match_exact(self, rad):
+        # a signed float u: odd-visit tuples drop out whatever the signs
+        for widths, p in [((2, 3), 1), ((2, 2, 2), F(1, 2))]:
+            cfg = make_config(widths, p, rad)
+            u = UnitVector.from_coords([0.6, -0.8])
+            value = brute_force_moment(cfg, u, 2)
+            assert isinstance(value, F)
+            assert value == exact_moment(cfg, u, 2)
 
 
 class TestPathEnsemble:
