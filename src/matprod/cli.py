@@ -256,19 +256,21 @@ def resolve_law(config: ExperimentConfig) -> DistributionSpec:
         ) from None
 
 
-def _load_coords(spec: str, dim: int, flag: str, names: str) -> np.ndarray:
-    """The coordinates in file spec: dim finite numbers, not all zero."""
-    import numpy as np
+def _load_coords(spec: str, dim: int, flag: str, names: str) -> list[float]:
+    """The coordinates in file spec: dim finite numbers, not all zero.
 
+    Tokens are separated by whitespace and ``#`` starts a comment.
+    """
     try:
-        coords = np.loadtxt(spec, dtype=np.float64).reshape(-1)
+        with open(spec, encoding="utf-8") as fh:
+            coords = [float(token) for line in fh for token in line.split("#")[0].split()]
     except (OSError, ValueError):
         raise UsageError(
             f"{flag} must be {names}, or a readable coordinate file; got {spec!r}"
         ) from None
-    if coords.size != dim:
-        raise UsageError(f"{flag} file has {coords.size} coordinates, architecture needs {dim}")
-    if not (np.all(np.isfinite(coords)) and np.any(coords)):
+    if len(coords) != dim:
+        raise UsageError(f"{flag} file has {len(coords)} coordinates, architecture needs {dim}")
+    if not (all(map(math.isfinite, coords)) and any(coords)):
         raise UsageError(f"{flag} file must hold finite coordinates, not all zero")
     return coords
 
@@ -278,14 +280,14 @@ def resolve_u(spec: str, dim: int) -> UnitVector:
         return UnitVector.basis(dim)
     if spec == "uniform":
         return UnitVector.uniform(dim)
-    import numpy as np
-
     coords = _load_coords(spec, dim, "--u", "e1, uniform")
-    with np.errstate(over="ignore", under="ignore"):
-        nrm = float(np.sqrt(coords @ coords))
+    try:
+        nrm = math.sqrt(math.fsum(c * c for c in coords))
+    except OverflowError:
+        nrm = math.inf
     if not 0.0 < nrm < math.inf:
         raise UsageError(f"--u file norm {nrm} is outside double precision")
-    return UnitVector.from_coords(coords / nrm)
+    return UnitVector.from_coords([c / nrm for c in coords])
 
 
 def resolve_x(spec: str, dim: int) -> np.ndarray:
@@ -299,7 +301,7 @@ def resolve_x(spec: str, dim: int) -> np.ndarray:
         x = np.zeros(dim)
         x[0] = 1.0
         return x
-    return _load_coords(spec, dim, "--x", "ones, e1")
+    return np.array(_load_coords(spec, dim, "--x", "ones, e1"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -498,10 +500,14 @@ def _run_moments(config: ExperimentConfig):
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     batch = None
+    mc_reason = "monte_carlo: needs at least 2 trials"
     if config.trials > 0:
         from .montecarlo import empirical_moment, run_trials
 
-        batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
+        try:
+            batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
+        except BudgetExceeded as exc:
+            mc_reason = f"monte_carlo: {exc}"
     columns = [
         "k", "exact", "brute_force", "monte_carlo", "mc_stderr", "theory",
         "beta", "zero_event_rate", "reason",
@@ -529,10 +535,10 @@ def _run_moments(config: ExperimentConfig):
         except FloatRangeError as exc:
             reasons.append(f"theory: {exc}")
         estimate = None
-        if config.trials >= 2:
+        if batch is not None and config.trials >= 2:
             estimate = empirical_moment(batch, k)
         else:
-            reasons.append("monte_carlo: needs at least 2 trials")
+            reasons.append(mc_reason)
         row = {
             "k": k,
             "exact": exact,
@@ -685,7 +691,9 @@ def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
         return run(config)
-    except UsageError as exc:
+    except (UsageError, BudgetExceeded) as exc:
+        # a refused sampler request is a bad input: the exact routes report
+        # theirs in moments' reason column
         print(f"matprod: error: {exc}", file=sys.stderr)
         return 2
     except MatprodError as exc:

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleConfig, UnitVector
-from .errors import EmptyBatch, InsufficientSamples, UsageError
+from .errors import BudgetExceeded, EmptyBatch, InsufficientSamples, UsageError
 from .ksstats import normal_cdf, one_sample_ks
 
 CHUNK = 256
@@ -83,6 +83,11 @@ SLICE_ENTRIES = 1 << 16
 # slack covers the rounding u carries from earlier layers; a squared norm
 # within that bound is a zero event.
 CANCEL_SLACK = 4.0
+
+# A drawn entry costs about 25 ns with every stage included (64x16, p = 1/2,
+# one thread), so this admits about 4 minutes of sampling on one thread.
+# The 100,000-trial chi2-check at 64x16 draws about 6.6e9 entries.
+SAMPLER_BUDGET = 10**10
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -230,6 +235,33 @@ def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndar
     return u
 
 
+def block_count(trials: int, trial_offset: int = 0) -> int:
+    """Blocks of CHUNK trial indices that the trial window meets."""
+    if trials == 0:
+        return 0
+    return (trial_offset + trials - 1) // CHUNK - trial_offset // CHUNK + 1
+
+
+def product_draws(config: EnsembleConfig, u: UnitVector, trials: int, trial_offset: int = 0) -> int:
+    """Expected weight entries ``run_trials`` draws: blocks * CHUNK *
+    sum_i (p n_i)(p n_{i-1}), the first layer's live units being u's nonzero
+    coordinates."""
+    live = [sum(1 for c in u.values if c)] + [config.p * n for n in config.widths[1:]]
+    per_trial = sum(a * b for a, b in zip(live, live[1:]))
+    return math.ceil(block_count(trials, trial_offset) * CHUNK * per_trial)
+
+
+def check_draws(estimate: int, what: str) -> None:
+    """Refuse, before any block runs, a sampler call that would draw more
+    than ``SAMPLER_BUDGET`` entries."""
+    if estimate > SAMPLER_BUDGET:
+        raise BudgetExceeded(
+            estimate,
+            SAMPLER_BUDGET,
+            message=f"{what} draws ~{estimate:.3g} entries, budget is {SAMPLER_BUDGET:.3g}",
+        )
+
+
 def _collect_chunks(
     trials: int,
     trial_offset: int,
@@ -271,12 +303,15 @@ def run_trials(
     """Sample `trials` independent realizations of the log normalized norm.
 
     Zero events are counted, not raised.  Identical (config, u, seed, trial
-    window) always produce the identical batch, for any thread count.
+    window) always produce the identical batch, for any thread count.  A
+    window that would draw more than ``SAMPLER_BUDGET`` entries raises
+    ``BudgetExceeded`` before any block runs.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if u.dim != config.widths[0]:
         raise ValueError(f"u has dim {u.dim}, architecture starts at {config.widths[0]}")
+    check_draws(product_draws(config, u, trials, trial_offset), "product sampler")
     u0 = u.coords
 
     def chunk_fn(index: int):

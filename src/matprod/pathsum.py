@@ -19,8 +19,10 @@ running denominator and build a single ``Fraction`` at the end.
     Collapses each layer's tuple space to equivalence classes (set partitions
     of the k tuple slots), and those to their orbits under permutations of
     the slots: the block-size shapes, or integer partitions of k.  It runs a
-    transfer-matrix contraction over shapes, p(k) states per layer (22 at
-    k = 8, against Bell(8) = 4140 set partitions).
+    transfer-matrix contraction over shapes, p(k) states per layer (77 at
+    k = 12, against Bell(12) = 4,213,597 set partitions).  The transfer and
+    the input masses are built by recursions over integer partitions too,
+    so no set partition is ever enumerated.
 
 ``brute_force_moment``
     Never uses the k-tuple collapse: sums over 2k-tuples of raw paths layer
@@ -36,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,89 +48,22 @@ from .errors import BudgetExceeded, DimensionMismatch, FloatRangeError
 
 # A unit of the shape contraction, one 64-bit word of one integer product,
 # costs about 5-8 ns (widths 256-1024, depths 120-4000, k = 4-8), so this
-# admits about 20 s of contraction.  The transfer build is counted per class
-# factor, which takes about 60 us: at most 6 s, at k = 8, and once per
-# (law, p, k) in a process.
+# admits about 20 s of contraction.
 DEFAULT_BUDGET = 3 * 10**9
+# One block opening of a cold transfer build, with its share of the merges,
+# takes about 5-8 us (k = 8-12, four laws): about a thousand units.  A cold
+# build takes 0.01 s at k = 8 and 0.2-0.3 s at k = 12.
+BUILD_STEP_UNITS = 1000
 # A raw-path unit costs about 1.1-1.5 us (widths 3-5, k = 2-3), so this admits
 # about 15 s of brute-force path summation.
 PATHS_BUDGET = 10**7
-DEFAULT_K_CAP = 8
+DEFAULT_K_CAP = 12
 
 
 class CollisionRegimeWarning(UserWarning):
     """The requested k is outside the regime where the log-normal moment
     prediction is accurate (k-choose-2 reaching the smallest layer width).
     The exact computation itself remains valid for every k."""
-
-
-# ---------------------------------------------------------------------------
-# combinatorial primitives
-# ---------------------------------------------------------------------------
-
-
-def multinomial(parts) -> int:
-    """Multinomial coefficient (sum parts)! / prod(part!) as an exact int."""
-    total = 0
-    out = 1
-    for part in parts:
-        if part < 0:
-            raise ValueError("multinomial parts must be nonnegative")
-        total += part
-        out *= math.comb(total, part)
-    return out
-
-
-def falling_factorial(n: int, r: int) -> int:
-    """n (n-1) ... (n-r+1); zero when r > n."""
-    out = 1
-    for j in range(r):
-        out *= n - j
-        if out == 0:
-            return 0
-    return out
-
-
-Partition = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)
-def set_partitions(k: int) -> tuple[Partition, ...]:
-    """All set partitions of range(k) in canonical form.
-
-    Canonical form: blocks sorted internally, then by first element.  Built by
-    inserting element k-1 into every partition of range(k-1).
-    """
-    if k == 0:
-        return ((),)
-    out: list[Partition] = []
-    for smaller in set_partitions(k - 1):
-        for j in range(len(smaller)):
-            blocks = list(smaller)
-            blocks[j] = blocks[j] + (k - 1,)
-            out.append(_canonical(blocks))
-        out.append(_canonical(list(smaller) + [(k - 1,)]))
-    return tuple(out)
-
-
-def _canonical(blocks) -> Partition:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-def partition_meet(sigma: Partition, tau: Partition) -> Partition:
-    """Common refinement: elements together iff together in both partitions."""
-    label_s = {}
-    for idx, block in enumerate(sigma):
-        for el in block:
-            label_s[el] = idx
-    label_t = {}
-    for idx, block in enumerate(tau):
-        for el in block:
-            label_t[el] = idx
-    groups: dict[tuple[int, int], list[int]] = {}
-    for el in label_s:
-        groups.setdefault((label_s[el], label_t[el]), []).append(el)
-    return _canonical(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -150,34 +86,85 @@ def integer_partitions(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(below(k, k))
 
 
-def _representative(shape: tuple[int, ...]) -> Partition:
-    """The set partition of range(k) into consecutive runs of the given sizes."""
-    bounds = list(itertools.accumulate(shape, initial=0))
-    return tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:]))
+def _orbit_size(shape: tuple[int, ...]) -> int:
+    """Set partitions of range(sum(shape)) with these block sizes."""
+    return math.factorial(sum(shape)) // math.prod(
+        [math.factorial(s) for s in shape] + [math.factorial(c) for c in Counter(shape).values()]
+    )
 
 
-def _class_factor(meet: Partition, tau: Partition, law: DistributionSpec, p: Fraction, k: int) -> Fraction:
-    """Collision factor as a function of equivalence classes only.
+@lru_cache(maxsize=None)
+def _with_part(n: int, m: int) -> tuple[int, ...]:
+    """Index in integer_partitions(n + m) of each partition of n with a part m added."""
+    index = {shape: i for i, shape in enumerate(integer_partitions(n + m))}
+    return tuple(index[tuple(sorted(shape + (m,), reverse=True))] for shape in integer_partitions(n))
 
-    The layer factor is invariant under separate relabelings of the two
-    vertex sets, so it only depends on the partition of the slots by the next
-    tuple's values (tau) and on the common refinement with the previous
-    tuple's partition (meet).
+
+@lru_cache(maxsize=None)
+def _tau_sums(law: DistributionSpec, k_max: int):
+    """Sums of the transfer over the next tuple's set partitions, by their shape.
+
+    Between slot partitions sigma and tau the transfer is p^(#tau - k) times
+    a product over tau's blocks T.  With m = |T| and t_b = |T & sigma_b| > 0,
+    T's factor multinomial(2t)/multinomial(t) * prod law.moment(2 t_b) is
+    (2m-1)!! * prod h(t_b), where h(j) = law.moment(2j) / (2j-1)!!.
+
+    Returns ``(sums, unit)``.  ``sums(rest)`` adds the product of block
+    factors over every set partition of the slots still unassigned, ``rest``
+    of them in each sigma-block (non-increasing), by its shape: a list
+    indexed like ``integer_partitions(sum(rest))``, in integers over
+    ``unit**sum(rest)``.  It opens the block holding a slot of the smallest
+    remainder a, with t_a - 1 of that block's other slots and t_b of each
+    other block's r_b, in C(a-1, t_a-1) * prod C(r_b, t_b) ways, and
+    recurses on what is left.  Openings that leave the same remainders and
+    open the same size are added up before their shapes are merged.  Nothing
+    depends on k or p, so one memo per law serves every k up to ``k_max``.
     """
-    containing: dict[int, int] = {}
-    for idx, block in enumerate(tau):
-        for el in block:
-            containing[el] = idx
-    sub_sizes: dict[int, list[int]] = {idx: [] for idx in range(len(tau))}
-    for block in meet:
-        sub_sizes[containing[block[0]]].append(len(block))
-    out = Fraction(1)
-    for idx, block in enumerate(tau):
-        sizes = sub_sizes[idx]
-        out *= Fraction(multinomial(2 * s for s in sizes), multinomial(sizes))
-        for s in sizes:
-            out *= law.moment(2 * s)
-    return out * p ** (len(tau) - k)
+    ratios = [law.moment(2 * j) / math.prod(range(1, 2 * j, 2)) for j in range(1, k_max + 1)]
+    unit = math.lcm(*(r.denominator for r in ratios))
+    block = [0] + [int(r * unit**j) for j, r in enumerate(ratios, start=1)]
+    double = [math.prod(range(1, 2 * m, 2)) for m in range(k_max + 1)]
+    memo = {(): [1]}
+
+    def sums(rest: tuple[int, ...]) -> list[int]:
+        out = memo.get(rest)
+        if out is not None:
+            return out
+        *others, a = rest
+        takes_of_others = list(itertools.product(*(range(r + 1) for r in others)))
+        # (remainders left, size of the opened block) -> summed weight
+        openings: dict[tuple[tuple[int, ...], int], int] = {}
+        for t_a in range(1, a + 1):
+            first = math.comb(a - 1, t_a - 1) * block[t_a]
+            for takes in takes_of_others:
+                weight = first
+                left = [a - t_a]
+                for r, t in zip(others, takes):
+                    if t:
+                        weight *= math.comb(r, t) * block[t]
+                    left.append(r - t)
+                size = t_a + sum(takes)
+                key = (tuple(sorted(filter(None, left), reverse=True)), size)
+                openings[key] = openings.get(key, 0) + weight * double[size]
+        n = sum(rest)
+        out = memo[rest] = [0] * len(integer_partitions(n))
+        for (left, size), weight in openings.items():
+            for j, w in zip(_with_part(n - size, size), sums(left)):
+                out[j] += weight * w
+        return out
+
+    return sums, unit
+
+
+@lru_cache(maxsize=None)
+def _build_steps(k: int) -> int:
+    """Block openings of a cold build at order k: every partition ``rest`` of
+    at most k slots is a state, and opens a * prod(r_b + 1), a its least part."""
+    return sum(
+        shape[-1] * math.prod(r + 1 for r in shape[:-1])
+        for n in range(1, k + 1)
+        for shape in integer_partitions(n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -189,22 +176,25 @@ def _shape_transfer(law: DistributionSpec, p: Fraction, k: int):
     masses and the tuple counts.  The state vector is therefore constant on
     each shape, and R[mu][lam], the sum of T[sigma][tau_lam] over every sigma
     of shape mu against one representative tau_lam of shape lam, carries it
-    from layer to layer.  Returns the shapes, the number of set partitions of
-    each shape, D * R as integers, and D, the lcm of R's denominators.
+    from layer to layer.  Counting the pairs of shapes (mu, lam) both ways,
+    R[mu][lam] = N(mu)/N(lam) * sum of T[sigma_mu][tau] over every tau of
+    shape lam, N the orbit sizes, and ``_tau_sums`` gives those sums.  Returns
+    the shapes, the number of set partitions of each shape, D * R as
+    integers, and D, the lcm of R's denominators.
     """
     shapes = integer_partitions(k)
-    index = {shape: i for i, shape in enumerate(shapes)}
-    reps = [_representative(shape) for shape in shapes]
-    orbit_sizes = [0] * len(shapes)
-    rows = [[Fraction(0)] * len(shapes) for _ in shapes]
-    for sigma in set_partitions(k):
-        mu = index[tuple(sorted(map(len, sigma), reverse=True))]
-        orbit_sizes[mu] += 1
-        for lam, tau in enumerate(reps):
-            rows[mu][lam] += _class_factor(partition_meet(sigma, tau), tau, law, p, k)
+    orbit_sizes = tuple(map(_orbit_size, shapes))
+    sums, unit = _tau_sums(law, max(k, DEFAULT_K_CAP))
+    rows = [
+        [
+            Fraction(n_mu * w, n_lam * unit**k) * p ** (len(lam) - k)
+            for lam, n_lam, w in zip(shapes, orbit_sizes, sums(mu))
+        ]
+        for mu, n_mu in zip(shapes, orbit_sizes)
+    ]
     scale = math.lcm(*(x.denominator for row in rows for x in row))
     transfer = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
-    return shapes, tuple(orbit_sizes), transfer, scale
+    return shapes, orbit_sizes, transfer, scale
 
 
 def _initial_masses(shapes, power_sums) -> list:
@@ -212,22 +202,26 @@ def _initial_masses(shapes, power_sums) -> list:
 
     ``power_sums[m]`` is the sum over coordinates of x**m, x the squared
     coordinate (times a common denominator, in the engine).  For block
-    sizes (s_1..s_r) the mass is the sum over tuples of r distinct
-    coordinates of the matching product of powers, computed by Moebius
-    inversion over partitions of the blocks.
+    sizes (s_1..s_r) the mass M is the sum over tuples of r distinct
+    coordinates of the matching product of powers.  Letting the first
+    block's coordinate range freely counts, besides M, each tuple where it
+    meets block j's: M(s_1..s_r) = P_{s_1} M(s_2..s_r) - sum_j M(s_2, ..,
+    s_j + s_1, .., s_r), memoized over sorted sizes.
     """
-    masses = []
-    for sizes in shapes:
-        total = 0
-        for rho in set_partitions(len(sizes)):
-            term = 1
-            for merged in rho:
-                weight = sum(sizes[i] for i in merged)
-                sign = -1 if (len(merged) % 2 == 0) else 1
-                term *= sign * math.factorial(len(merged) - 1) * power_sums[weight]
-            total = total + term
-        masses.append(total)
-    return masses
+    memo = {(): 1}
+
+    def mass(sizes):
+        out = memo.get(sizes)
+        if out is None:
+            first, rest = sizes[0], sizes[1:]
+            out = power_sums[first] * mass(rest)
+            for j, s in enumerate(rest):
+                merged = rest[:j] + (s + first,) + rest[j + 1:]
+                out -= mass(tuple(sorted(merged, reverse=True)))
+            memo[sizes] = out
+        return out
+
+    return [mass(shape) for shape in shapes]
 
 
 def _power_sums(scaled, k: int) -> list:
@@ -274,8 +268,9 @@ def exact_moment(
     rational), and the contraction runs on integers.
 
     Contracts a transfer over the block-size shapes (integer partitions) of
-    the k slots.  Cost: Bell(k) * p(k) class factors to build the transfer,
-    once per (law, p, k), plus p(k)^2 integer products per layer, each
+    the k slots.  Cost: ``_build_steps(k)`` block openings to build the
+    transfer cold, once per (law, p, k), each counted as
+    ``BUILD_STEP_UNITS``; then p(k)^2 integer products per layer, each
     counted by the 64-bit words of the state.  The state starts at k *
     bit_length(L) bits, L the common denominator of u's squares, and gains
     bit_length(D) + k * bit_length(n) bits at a layer of width n, D the
@@ -283,7 +278,7 @@ def exact_moment(
     """
     _moment_preflight(config, u, k, k_cap)
     n_shapes = len(integer_partitions(k))
-    cost = len(set_partitions(k)) * n_shapes
+    cost = BUILD_STEP_UNITS * _build_steps(k)
     if cost > budget:
         raise BudgetExceeded(cost, budget, what="shape transfer")
     *_, scale = _shape_transfer(config.entry_law, config.p, k)
@@ -305,7 +300,7 @@ def _shape_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
     states = range(len(shapes))
     columns = [[(s, transfer[s][t]) for s in states if transfer[s][t]] for t in states]
     widths = config.architecture.inner_widths
-    counts = {n: [falling_factorial(n, len(shape)) for shape in shapes] for n in set(widths)}
+    counts = {n: [math.perm(n, len(shape)) for shape in shapes] for n in set(widths)}
     for n in widths:
         # k-tuples of each shape over n vertices; the layer's denominator is
         # scale * n^k

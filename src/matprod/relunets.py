@@ -37,7 +37,10 @@ from .montecarlo import (
     SampleBatch,
     _collect_chunks,
     _renormalize,
+    block_count,
+    check_draws,
     chunk_stream,
+    product_draws,
     run_trials,
 )
 
@@ -120,6 +123,13 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
     return logs, alive
 
 
+def jacobian_draws(config: ReluNetConfig, trials: int) -> int:
+    """Weight and bias entries ``jacobian_batch`` draws: blocks * CHUNK *
+    sum (n m + n) over the layers."""
+    widths = config.widths
+    return block_count(trials) * CHUNK * sum(n * m + n for m, n in zip(widths, widths[1:]))
+
+
 def jacobian_batch(
     config: ReluNetConfig,
     trials: int,
@@ -132,10 +142,12 @@ def jacobian_batch(
 
     Block c of CHUNK networks draws from ``chunk_stream(seed,
     DOMAIN_NET_BLOCKS, c)``; zero events are counted, and the batch is the
-    same for any thread count.
+    same for any thread count.  A call that would draw more than
+    ``SAMPLER_BUDGET`` entries raises ``BudgetExceeded`` before any block runs.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    check_draws(jacobian_draws(config, trials), "Jacobian sampler")
     widths = config.widths
     x = default_input(widths[0]) if x is None else np.asarray(x, dtype=np.float64)
     if x.shape != (widths[0],):
@@ -184,8 +196,10 @@ def compare_jacobian_vs_product(
     widths = config.widths
     if u is None:
         u = UnitVector.uniform(widths[0])
-    jac = jacobian_batch(config, trials, seed=seed, x=x, u=u, threads=threads)
     ensemble: EnsembleConfig = make_config(widths, Fraction(product_p), config.weight_law)
+    draws = jacobian_draws(config, trials) + product_draws(ensemble, u, trials)
+    check_draws(draws, "Jacobian comparison")
+    jac = jacobian_batch(config, trials, seed=seed, x=x, u=u, threads=threads)
     product = run_trials(ensemble, u, trials, seed, threads=threads)
     report = two_sample_ks(jac.samples, product.samples)
     return JacobianComparison(jacobian_batch=jac, product_batch=product, ks=report)

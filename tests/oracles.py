@@ -1,8 +1,12 @@
 """Test-side oracles: small direct computations that the library is checked against.
 
 ``layer_factor`` evaluates the collision factor of one pair of vertex tuples
-straight from its definition, with no collapse to set partitions or shapes,
-so it shares no code with ``pathsum._class_factor``.  ``assignment_moment``
+straight from its definition, with no collapse to set partitions or shapes.
+``set_partition_transfer`` builds the exact engine's shape transfer by
+enumerating every set partition of the k slots (Bell(k) * p(k) class
+factors), and ``moebius_masses`` its initial masses by Moebius inversion
+over set partitions of the blocks; the engine reaches both by recursions
+over integer partitions instead.  ``assignment_moment``
 averages the norm power over every weight and mask realization of a discrete
 law, with no path expansion at all.  ``sample_network``,
 ``forward`` and ``dense_jacobian`` draw one ReLU network and differentiate
@@ -14,10 +18,14 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from matprod.montecarlo import DOMAIN_NETS, chunk_stream
+from matprod.pathsum import integer_partitions
+
+Partition = tuple[tuple[int, ...], ...]
 
 
 def _left_tuple_count(edges: Counter) -> int:
@@ -41,6 +49,117 @@ def layer_factor(prev, nxt, law, p) -> Fraction:
     ratio = Fraction(_left_tuple_count(doubled), _left_tuple_count(m))
     return weight * ratio * Fraction(p) ** (len(set(nxt)) - k)
 
+
+
+def multinomial(parts) -> int:
+    """Multinomial coefficient (sum parts)! / prod(part!) as an exact int."""
+    total = 0
+    out = 1
+    for part in parts:
+        if part < 0:
+            raise ValueError("multinomial parts must be nonnegative")
+        total += part
+        out *= math.comb(total, part)
+    return out
+
+
+@lru_cache(maxsize=None)
+def set_partitions(k: int) -> tuple[Partition, ...]:
+    """All set partitions of range(k) in canonical form.
+
+    Canonical form: blocks sorted internally, then by first element.  Built by
+    inserting element k-1 into every partition of range(k-1).
+    """
+    if k == 0:
+        return ((),)
+    out: list[Partition] = []
+    for smaller in set_partitions(k - 1):
+        for j in range(len(smaller)):
+            blocks = list(smaller)
+            blocks[j] = blocks[j] + (k - 1,)
+            out.append(_canonical(blocks))
+        out.append(_canonical(list(smaller) + [(k - 1,)]))
+    return tuple(out)
+
+
+def _canonical(blocks) -> Partition:
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def partition_meet(sigma: Partition, tau: Partition) -> Partition:
+    """Common refinement: elements together iff together in both partitions."""
+    label_s = {}
+    for idx, block in enumerate(sigma):
+        for el in block:
+            label_s[el] = idx
+    label_t = {}
+    for idx, block in enumerate(tau):
+        for el in block:
+            label_t[el] = idx
+    groups: dict[tuple[int, int], list[int]] = {}
+    for el in label_s:
+        groups.setdefault((label_s[el], label_t[el]), []).append(el)
+    return _canonical(groups.values())
+
+
+def _class_factor(meet: Partition, tau: Partition, law, p: Fraction, k: int) -> Fraction:
+    """Collision factor as a function of equivalence classes only: the
+    partition of the slots by the next tuple's values (tau) and its common
+    refinement with the previous tuple's partition (meet)."""
+    containing: dict[int, int] = {}
+    for idx, block in enumerate(tau):
+        for el in block:
+            containing[el] = idx
+    sub_sizes: dict[int, list[int]] = {idx: [] for idx in range(len(tau))}
+    for block in meet:
+        sub_sizes[containing[block[0]]].append(len(block))
+    out = Fraction(1)
+    for idx, block in enumerate(tau):
+        sizes = sub_sizes[idx]
+        out *= Fraction(multinomial(2 * s for s in sizes), multinomial(sizes))
+        for s in sizes:
+            out *= law.moment(2 * s)
+    return out * p ** (len(tau) - k)
+
+
+def set_partition_transfer(law, p: Fraction, k: int):
+    """``pathsum._shape_transfer`` by enumeration: R[mu][lam] sums the class
+    factor of every set partition sigma of shape mu against one
+    representative tau of shape lam, the consecutive runs of its sizes.
+    Returns the same (shapes, orbit sizes, D * R as integers, D)."""
+    shapes = integer_partitions(k)
+    index = {shape: i for i, shape in enumerate(shapes)}
+    reps = []
+    for shape in shapes:
+        bounds = list(itertools.accumulate(shape, initial=0))
+        reps.append(tuple(tuple(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])))
+    orbit_sizes = [0] * len(shapes)
+    rows = [[Fraction(0)] * len(shapes) for _ in shapes]
+    for sigma in set_partitions(k):
+        mu = index[tuple(sorted(map(len, sigma), reverse=True))]
+        orbit_sizes[mu] += 1
+        for lam, tau in enumerate(reps):
+            rows[mu][lam] += _class_factor(partition_meet(sigma, tau), tau, law, p, k)
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    transfer = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    return shapes, tuple(orbit_sizes), transfer, scale
+
+
+def moebius_masses(shapes, power_sums) -> list:
+    """``pathsum._initial_masses`` by Moebius inversion over the set
+    partitions of each shape's blocks."""
+    masses = []
+    for sizes in shapes:
+        total = 0
+        for rho in set_partitions(len(sizes)):
+            term = 1
+            for merged in rho:
+                weight = sum(sizes[i] for i in merged)
+                sign = -1 if (len(merged) % 2 == 0) else 1
+                term *= sign * math.factorial(len(merged) - 1) * power_sums[weight]
+            total = total + term
+        masses.append(total)
+    return masses
 
 
 def assignment_moment(config, u, k) -> Fraction:

@@ -98,6 +98,23 @@ def run_cli(args, env=None, cwd=None):
 
 class TestErrorContract:
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--widths", "1000x120", "--trials", "2"],
+            ["ks-test", "--widths", "1000x120", "--trials", "2"],
+            ["chi2-check", "--widths", "1000x120", "--trials", "2"],
+            ["jacobian-compare", "--widths", "1000x120", "--trials", "200"],
+        ],
+        ids=["simulate", "ks-test", "chi2-check", "jacobian-compare"],
+    )
+    def test_sampler_refusal_exits_2(self, args):
+        proc = run_cli(args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("matprod: error: ")
+        assert " entries, budget is 1e+10" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "flags, env",
         [
             (["--bias-scale", "-1"], {}),
@@ -125,13 +142,17 @@ class TestErrorContract:
             (["simulate"], {"widths": "4,4", "assert": "yes"}, "--assert"),
             (["beta", "--widths", "2,2", "--u", "text.txt"], None, "--u"),
             (["beta", "--widths", "2,2", "--u", "huge.txt"], None, "--u"),
+            (["beta", "--widths", "2,2", "--u", "sum.txt"], None, "--u file norm inf"),
         ],
         ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
-             "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow"],
+             "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow",
+             "u-file-sum-overflow"],
     )
     def test_bad_input_exits_2(self, tmp_path, args, config, message):
         (tmp_path / "text.txt").write_text("0.6 zebra\n")
         (tmp_path / "huge.txt").write_text("1e200 1e200\n")
+        # each square is finite, their sum is not: fsum raises OverflowError
+        (tmp_path / "sum.txt").write_text("1.3e154 1.3e154\n")
         if config is not None:
             (tmp_path / "run.json").write_text(json.dumps(config))
             args = args + ["--config", "run.json"]
@@ -230,6 +251,22 @@ class TestMomentsCommand:
         assert "exact: shape transfer needs ~" in rows[0]["reason"]
         assert "budget is 3000000000" in rows[0]["reason"]
 
+    def test_sampler_refusal_reported_in_reason(self, tmp_path):
+        # about 3.1e10 drawn entries: refused before any block runs, while
+        # the exact route still answers
+        out = tmp_path / "moments.csv"
+        code = main(
+            ["moments", "--widths", "1000x120", "--trials", "2", "--output", str(out)]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert rows[0]["exact"] == "1" and rows[1]["exact"] != ""
+        assert [row["monte_carlo"] for row in rows] == ["", ""]
+        for row in rows:
+            assert "monte_carlo: product sampler draws ~3.07e+10 entries, budget is 1e+10" in (
+                row["reason"]
+            )
+
     def test_exact_rational_outside_double_range(self, tmp_path, capsys):
         out = tmp_path / "moments.csv"
         code = main(
@@ -284,10 +321,10 @@ class TestMomentsCommand:
 
     def test_k_cap_reported_in_reason(self, tmp_path):
         out = tmp_path / "moments.csv"
-        assert main(["moments", "--widths", "3,3", "--k", "9", "--trials", "0",
+        assert main(["moments", "--widths", "3,3", "--k", "13", "--trials", "0",
                      "--output", str(out)]) == 0
         _, rows = read_csv(out)
-        assert "exact: moment order k=9 exceeds the cap 8" in rows[0]["reason"]
+        assert "exact: moment order k=13 exceeds the cap 12" in rows[0]["reason"]
 
 
 class TestDeterminism:
@@ -396,6 +433,9 @@ for law in ("gaussian", "rademacher", "uniform"):
         for sub, extra in (("beta", []), ("moments", ["--k", "1,2", "--trials", "0"])):
             code = main([sub, *base, *extra])
             seen[f"{sub} {law} {u}"] = [code, "numpy" in sys.modules]
+base = ["--widths", "3,2,2", "--u", sys.argv[1], "--output", os.devnull]
+for sub, extra in (("beta", []), ("moments", ["--k", "1,2", "--trials", "0"])):
+    seen[f"{sub} u-file"] = [main([sub, *base, *extra]), "numpy" in sys.modules]
 code = main(["simulate", "--widths", "4,4", "--trials", "10", "--output", os.devnull])
 seen["simulate"] = [code, "numpy" in sys.modules]
 print(json.dumps(seen))
@@ -419,11 +459,13 @@ PUBLIC_NAMES = [
 
 
 class TestStartup:
-    def test_only_the_samplers_load_numpy(self):
-        proc = TestThreads.run_python(["-c", NUMPY_PROBE], None)
+    def test_only_the_samplers_load_numpy(self, tmp_path):
+        u_file = tmp_path / "u.txt"
+        u_file.write_text("# a comment line\n0.25 -1.5  # trailing comment\n3e-1\n")
+        proc = TestThreads.run_python(["-c", NUMPY_PROBE, str(u_file)], None)
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout)
-        assert len(seen) == 14
+        assert len(seen) == 16
         assert seen.pop("simulate") == [0, True]
         assert seen == {step: [0, False] for step in seen}
 

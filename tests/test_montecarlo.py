@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 
 from matprod import (
+    BudgetExceeded,
     EmptyBatch,
     InsufficientSamples,
     SampleBatch,
@@ -467,3 +468,35 @@ class TestChiSquareSampler:
         # the exact values in turn sit within the stated normal approximation
         assert exact_mean == pytest.approx(-0.25, abs=5 * mean_se)
         assert exact_var == pytest.approx(0.5, abs=5 * max(var_se, 2e-3))
+
+
+class TestSamplerGuard:
+    """The drawn-entry estimate, checked against SAMPLER_BUDGET before any
+    block runs."""
+
+    def test_acceptance_chi2_artifact_is_admitted(self, gauss):
+        # chi2-check --widths 64x16 --p 1 --trials 100000: 391 blocks of
+        # 256 trials, 16 layers of 64 x 64 live entries
+        cfg = make_config((64,) * 17, 1, gauss)
+        draws = montecarlo.product_draws(cfg, UnitVector.uniform(64), 100_000)
+        assert draws == 391 * 256 * 16 * 64 * 64
+        assert draws <= montecarlo.SAMPLER_BUDGET
+
+    def test_minutes_of_sampling_refused_up_front(self, gauss):
+        # moments --widths 1000x120 --trials 2: one block, 120 layers of
+        # 1000 x 1000 entries, about 13 minutes of drawing at 25 ns each
+        cfg = make_config((1000,) * 121, 1, gauss)
+        u = UnitVector.uniform(1000)
+        assert montecarlo.product_draws(cfg, u, 2) == 256 * 120 * 1000**2
+        with pytest.raises(BudgetExceeded, match=r"^product sampler draws ~3.07e\+10"):
+            run_trials(cfg, u, 2, seed=0)
+
+    def test_estimate_counts_live_entries(self, gauss):
+        # p n_i live rows per layer; the first layer's columns are u's
+        # nonzero coordinates, and a window straddling a block edge runs both
+        cfg = make_config((6, 4, 8), F(1, 2), gauss)
+        e1, uniform = UnitVector.basis(6), UnitVector.uniform(6)
+        assert montecarlo.product_draws(cfg, e1, 10) == 256 * (1 * 2 + 2 * 4)
+        assert montecarlo.product_draws(cfg, uniform, 10) == 256 * (6 * 2 + 2 * 4)
+        assert montecarlo.product_draws(cfg, e1, 2, trial_offset=255) == 2 * 256 * 10
+        assert montecarlo.product_draws(cfg, e1, 0) == 0

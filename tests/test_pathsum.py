@@ -19,16 +19,23 @@ from matprod import (
     theory_moment,
 )
 from matprod.pathsum import (
+    BUILD_STEP_UNITS,
     DEFAULT_BUDGET,
     PATHS_BUDGET,
+    _build_steps,
+    _initial_masses,
     _shape_transfer,
-    falling_factorial,
     integer_partitions,
+)
+from oracles import (
+    assignment_moment,
+    layer_factor,
+    moebius_masses,
     multinomial,
     partition_meet,
+    set_partition_transfer,
     set_partitions,
 )
-from oracles import assignment_moment, layer_factor
 
 
 def gaussian_moment(widths, p, k):
@@ -61,11 +68,6 @@ class TestCombinatorics:
         assert multinomial([0, 0]) == 1
         assert multinomial([4]) == 1
 
-    def test_falling_factorial(self):
-        assert falling_factorial(5, 3) == 60
-        assert falling_factorial(3, 5) == 0
-        assert falling_factorial(7, 0) == 1
-
     def test_set_partition_counts_are_bell_numbers(self):
         for k, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
             assert len(set_partitions(k)) == bell
@@ -74,6 +76,37 @@ class TestCombinatorics:
         sigma = ((0, 1), (2, 3))
         tau = ((0, 1, 2), (3,))
         assert partition_meet(sigma, tau) == ((0, 1), (2,), (3,))
+
+
+@pytest.fixture
+def discrete():
+    """A discrete law with an atom at 0: mu4 = 4."""
+    return discrete_symmetric([(F(2), F(1, 8)), (F(-2), F(1, 8)), (F(0), F(3, 4))])
+
+
+class TestShapeTransferOracle:
+    """The shape-level builder against the Bell(k) * p(k) set-partition
+    enumeration it replaced, which now lives in the tests' oracles."""
+
+    @pytest.mark.parametrize("p", [F(1), F(1, 2), F(1, 3)], ids=["p1", "p1/2", "p1/3"])
+    @pytest.mark.parametrize("law_name", ["gauss", "rad", "unif", "discrete"])
+    def test_transfer_equals_set_partition_enumeration(self, law_name, p, request):
+        law = request.getfixturevalue(law_name)
+        for k in range(1, 8):
+            assert _shape_transfer(law, p, k) == set_partition_transfer(law, p, k), k
+
+    def test_masses_equal_moebius_inversion(self):
+        rng = np.random.default_rng(5)
+        for k in range(1, 11):
+            power_sums = [None] + [int(v) for v in rng.integers(-10**6, 10**6, k)]
+            shapes = integer_partitions(k)
+            assert _initial_masses(shapes, power_sums) == moebius_masses(shapes, power_sums), k
+
+    def test_build_steps_counted_from_sizes(self):
+        # state (1) opens 1 block, (2) opens 2, (1, 1) opens 1 * 2
+        assert _build_steps(1) == 1
+        assert _build_steps(2) == 5
+        assert [_build_steps(k) for k in (8, 12)] == [1489, 37233]
 
 
 class TestLayerFactor:
@@ -208,22 +241,37 @@ class TestExactMoment:
         assert value == gaussian_moment(widths, F(1, 2), 6)
 
     def test_budget_honored(self, gauss):
-        # Bell(2) * p(2) = 4 class factors, then p(2)^2 = 4 products per layer,
+        # A cold build at k = 2 opens 5 blocks ((1): 1, (2): 2, (1, 1): 2),
+        # BUILD_STEP_UNITS = 1000 each.  Then p(2)^2 = 4 products per layer,
         # each counted in 64-bit words of the state.  The state starts at
         # 2 * bit_length(3) = 4 bits (u's squares are over 3) and gains
         # bit_length(1) + 2 * bit_length(3) = 5 bits per layer (the Gaussian
         # p = 1 transfer is integral), so it fits one word at layers 1-11 and
-        # takes two at layers 12-20: 4 + 4 * (11 + 2 * 9) = 120.
+        # takes two at layers 12-20: 5000 + 4 * (11 + 2 * 9) = 5116.
+        assert BUILD_STEP_UNITS == 1000
         cfg = make_config((3,) * 21, 1, gauss)
-        assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=120) == F(5, 3) ** 20
+        assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=5116) == F(5, 3) ** 20
         with pytest.raises(BudgetExceeded) as err:
-            exact_moment(cfg, UnitVector.uniform(3), 2, budget=119)
-        assert err.value.estimate == 120
+            exact_moment(cfg, UnitVector.uniform(3), 2, budget=5115)
+        assert err.value.estimate == 5116
 
     def test_k_cap(self, gauss):
         cfg = make_config((3, 3), 1, gauss)
-        with pytest.raises(BudgetExceeded, match=r"^moment order k=9 exceeds the cap 8$"):
-            exact_moment(cfg, UnitVector.uniform(3), 9)
+        with pytest.raises(BudgetExceeded, match=r"^moment order k=13 exceeds the cap 12$"):
+            exact_moment(cfg, UnitVector.uniform(3), 13)
+
+    @pytest.mark.parametrize("k", [9, 10])
+    @pytest.mark.parametrize("law_name", ["rad", "discrete"])
+    def test_high_orders_match_assignment_enumeration(self, law_name, k, request):
+        law = request.getfixturevalue(law_name)
+        cfg = make_config((2, 2, 2), F(1, 2), law)
+        u = UnitVector.uniform(2)
+        assert exact_moment(cfg, u, k) == assignment_moment(cfg, u, k)
+
+    def test_gaussian_closed_form_at_the_cap(self, gauss):
+        widths = (2, 3, 2)
+        value = exact_moment(make_config(widths, F(1, 2), gauss), UnitVector.uniform(2), 12)
+        assert value == gaussian_moment(widths, F(1, 2), 12)
 
     def test_asymptotic_consistency_with_beta(self, gauss):
         # log of the exact second moment approaches beta at rate d/n^2;

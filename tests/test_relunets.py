@@ -7,6 +7,7 @@ import pytest
 from matprod import (
     Architecture,
     AtomicLawError,
+    BudgetExceeded,
     DimensionMismatch,
     ReluNetConfig,
     UnitVector,
@@ -16,8 +17,14 @@ from matprod import (
     two_sample_ks,
     zero_event_probability,
 )
-from matprod.montecarlo import CHUNK, DOMAIN_NET_BLOCKS, chunk_stream
-from matprod.relunets import _jacobian_chunk, default_input, jacobian_batch, relu
+from matprod.montecarlo import CHUNK, DOMAIN_NET_BLOCKS, SAMPLER_BUDGET, chunk_stream
+from matprod.relunets import (
+    _jacobian_chunk,
+    default_input,
+    jacobian_batch,
+    jacobian_draws,
+    relu,
+)
 from oracles import dense_jacobian, forward, sample_network
 
 
@@ -187,3 +194,19 @@ class TestComparison:
         cfg = tiny_config(gauss)
         with pytest.raises(ValueError):
             compare_jacobian_vs_product(cfg, trials=10, seed=0)
+
+
+class TestSamplerGuard:
+    def test_acceptance_comparison_is_admitted(self, gauss):
+        # jacobian-compare --widths 8,16x3 --trials 20000: 79 blocks
+        cfg = tiny_config(gauss, widths=(8, 16, 16, 16))
+        assert jacobian_draws(cfg, 20_000) == 79 * 256 * (8 * 16 + 16 + 2 * (16 * 16 + 16))
+        assert jacobian_draws(cfg, 20_000) <= SAMPLER_BUDGET
+
+    def test_minutes_of_sampling_refused_up_front(self, gauss):
+        cfg = tiny_config(gauss, widths=(1000,) * 121)
+        assert jacobian_draws(cfg, 200) == 256 * 120 * (1000**2 + 1000)
+        with pytest.raises(BudgetExceeded, match=r"^Jacobian sampler draws"):
+            jacobian_batch(cfg, 200)
+        with pytest.raises(BudgetExceeded, match=r"^Jacobian comparison draws"):
+            compare_jacobian_vs_product(cfg, 200, seed=0)
