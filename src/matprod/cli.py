@@ -27,7 +27,7 @@ import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -61,6 +61,11 @@ _SUBCOMMANDS = (
 )
 
 
+# ExperimentConfig fields that set where and how a run reports, not what it
+# computes; the fingerprint leaves them out.
+_RUN_ONLY = ("output", "format", "assert_checks", "tolerance", "threads")
+
+
 @dataclass
 class ExperimentConfig:
     """One run's settings; the field defaults are the CLI defaults."""
@@ -84,21 +89,11 @@ class ExperimentConfig:
     x: str = "ones"
 
     def fingerprint(self) -> str:
-        payload = {
-            "subcommand": self.subcommand,
-            "widths": list(self.widths),
-            "p": str(self.p),
-            "dist": self.dist,
-            "dist_pairs": self.dist_pairs,
-            "u": self.u,
-            "trials": self.trials,
-            "seed": self.seed,
-            "k": list(self.k),
-            "product_p": str(self.product_p),
-            "bias_scale": self.bias_scale,
-            "x": self.x,
-        }
-        blob = json.dumps(payload, sort_keys=True)
+        """The run's identity: a hash of every field that can change its rows."""
+        payload = asdict(self)
+        for name in _RUN_ONLY:
+            del payload[name]
+        blob = json.dumps(payload, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -287,7 +282,7 @@ def resolve_u(spec: str, dim: int) -> UnitVector:
         nrm = math.inf
     if not 0.0 < nrm < math.inf:
         raise UsageError(f"--u file norm {nrm} is outside double precision")
-    return UnitVector.from_coords([c / nrm for c in coords])
+    return UnitVector([c / nrm for c in coords])
 
 
 def resolve_x(spec: str, dim: int) -> np.ndarray:
@@ -340,15 +335,15 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def parse_config(argv, config_file: str | None = None) -> ExperimentConfig:
-    """Parse flags (and an optional JSON config file) into an ExperimentConfig.
+def parse_config(argv) -> ExperimentConfig:
+    """Parse flags (and a ``--config`` JSON file) into an ExperimentConfig.
 
     Precedence: command-line flags, then config-file entries, then defaults.
     Each given value, flag or file entry, passes through its flag's converter.
     """
     values = vars(_build_parser().parse_args(argv))
     subcommand = values.pop("subcommand")
-    file_path = values.pop("config", None) or config_file
+    file_path = values.pop("config", None)
     if file_path:
         values = {**_read_config_file(file_path), **values}
     if values.get("widths") in (None, ""):
@@ -501,7 +496,7 @@ def _run_moments(config: ExperimentConfig):
     params = compute_beta(ens, u)
     batch = None
     mc_reason = "monte_carlo: needs at least 2 trials"
-    if config.trials > 0:
+    if config.trials >= 2:
         from .montecarlo import empirical_moment, run_trials
 
         try:
@@ -531,11 +526,11 @@ def _run_moments(config: ExperimentConfig):
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"matprod: warning: {message}", file=sys.stderr)
         try:
-            theory = theory_moment(params, k)
+            theory = theory_moment(params.beta, k)
         except FloatRangeError as exc:
             reasons.append(f"theory: {exc}")
         estimate = None
-        if batch is not None and config.trials >= 2:
+        if batch is not None:
             estimate = empirical_moment(batch, k)
         else:
             reasons.append(mc_reason)
@@ -547,7 +542,7 @@ def _run_moments(config: ExperimentConfig):
             "mc_stderr": estimate.stderr if estimate else None,
             "theory": theory,
             "beta": params.beta,
-            "zero_event_rate": batch.zero_event_rate if batch else 0.0,
+            "zero_event_rate": batch.zero_event_rate if batch else None,
             "reason": "; ".join(reasons) if reasons else None,
         }
         rows.append(row)
@@ -634,12 +629,7 @@ def _run_jacobian_compare(config: ExperimentConfig):
     ens, u = _ensemble(config)
     if not ens.atomless:
         raise UsageError("jacobian-compare needs an atomless --dist")
-    net_config = ReluNetConfig(
-        architecture=ens.architecture,
-        weight_law=ens.entry_law,
-        bias_scale=config.bias_scale,
-        seed=config.seed,
-    )
+    net_config = ReluNetConfig(ens.architecture, ens.entry_law, config.bias_scale)
     x = resolve_x(config.x, config.widths[0])
     comparison = compare_jacobian_vs_product(
         net_config,

@@ -54,13 +54,6 @@ class DistributionSpec:
     def atomless(self) -> bool:
         return self.kind in (GAUSSIAN, UNIFORM_SYMMETRIC)
 
-    @property
-    def label(self) -> str:
-        if self.kind == DISCRETE_SYMMETRIC:
-            pairs = ",".join(f"{v}:{p}" for v, p in zip(self.values, self.probabilities))
-            return f"discrete({pairs})"
-        return self.kind
-
     def moment(self, k: int) -> Fraction:
         """Exact k-th moment.  Odd moments are identically zero."""
         if k < 0:
@@ -81,10 +74,6 @@ class DistributionSpec:
             (p * v**k for v, p in zip(self.values, self.probabilities)),
             Fraction(0),
         )
-
-    @property
-    def mu4(self) -> float:
-        return float(self.moment(4))
 
     def support_pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """(value, probability) pairs for atom-bearing laws."""

@@ -12,7 +12,6 @@ has expectation one at every layer.  Sampling it is ``montecarlo.run_trials``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Architecture:
-    """Layer widths (n_0, ..., n_d); depth is the number of matrix factors."""
+    """Layer widths (n_0, ..., n_d), one matrix factor per width after n_0."""
 
     widths: tuple[int, ...]
 
@@ -41,10 +40,6 @@ class Architecture:
             raise ValueError("architecture needs at least widths (n_0, n_1)")
         if any(n < 1 for n in self.widths):
             raise ValueError(f"widths must be positive, got {self.widths}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.widths) - 1
 
     @property
     def inner_widths(self) -> tuple[int, ...]:
@@ -81,10 +76,6 @@ class EnsembleConfig:
     def widths(self) -> tuple[int, ...]:
         return self.architecture.widths
 
-    def fingerprint(self) -> str:
-        text = f"widths={self.widths};p={self.p};law={self.entry_law.label}"
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
 
 def make_config(widths, p, entry_law: DistributionSpec) -> EnsembleConfig:
     return EnsembleConfig(Architecture(tuple(widths)), Fraction(p), entry_law)
@@ -99,14 +90,13 @@ class UnitVector:
     read-only float64 array, built on first access for the samplers.
     ``squares`` holds the exact squared coordinates the vector stands for,
     which its rounded floats can miss (1/3 for ``uniform(3)``); it is
-    populated by the ``basis``/``uniform`` constructors and by
-    ``from_squares``, and left None for arbitrary float input, whose floats
-    are taken as the exact rationals they are.
+    populated by the ``basis``/``uniform`` constructors and left None for
+    arbitrary float input, whose floats are taken as the exact rationals they
+    are.
     """
 
     values: tuple[float, ...]
     squares: tuple[Fraction, ...] | None = None
-    label: str = "custom"
 
     def __post_init__(self):
         if getattr(self.values, "ndim", 1) != 1:
@@ -161,28 +151,16 @@ class UnitVector:
         return Fraction(sum(x * x for x in scaled), common * common)
 
     @classmethod
-    def basis(cls, dim: int, index: int = 0) -> "UnitVector":
-        values = tuple(1.0 if i == index else 0.0 for i in range(dim))
-        squares = tuple(
-            Fraction(1) if i == index else Fraction(0) for i in range(dim)
-        )
-        return cls(values, squares, label=f"e{index + 1}")
+    def basis(cls, dim: int) -> "UnitVector":
+        """The first standard basis vector, e1."""
+        values = tuple(1.0 if i == 0 else 0.0 for i in range(dim))
+        return cls(values, tuple(map(Fraction, values)))
 
     @classmethod
     def uniform(cls, dim: int) -> "UnitVector":
         values = (dim**-0.5,) * dim
         squares = (Fraction(1, dim),) * dim
-        return cls(values, squares, label="uniform")
-
-    @classmethod
-    def from_coords(cls, coords) -> "UnitVector":
-        return cls(coords)
-
-    @classmethod
-    def from_squares(cls, squares) -> "UnitVector":
-        """Build a nonnegative unit vector from exact squared coordinates."""
-        sq = tuple(Fraction(s) for s in squares)
-        return cls(tuple(math.sqrt(s) for s in sq), sq)
+        return cls(values, squares)
 
 
 @dataclass(frozen=True)
@@ -275,7 +253,6 @@ class ErrorBudget:
     fifth_root_term: float
     sqrt_term: float
     mask_term: float
-    beta: float
 
 
 def error_budget(config: EnsembleConfig, u: UnitVector) -> ErrorBudget:
@@ -295,5 +272,4 @@ def error_budget(config: EnsembleConfig, u: UnitVector) -> ErrorBudget:
         fifth_root_term=fifth,
         sqrt_term=root,
         mask_term=mask_term,
-        beta=beta,
     )

@@ -1,4 +1,10 @@
-"""Shared statistical primitives: normal CDF, KS statistics, summaries."""
+"""Shared statistical primitives: the standard normal CDF, KS statistics and
+sample summaries.
+
+Each returns only what the CLI prints: a KS report is its statistic and 5%
+critical value, and a summary has the mean, unbiased variance, adjusted
+skewness and the five quantiles of the ``simulate`` table.
+"""
 
 from __future__ import annotations
 
@@ -13,16 +19,13 @@ from .errors import EmptyBatch, InsufficientSamples
 KS_COEFF_5PCT = 1.358
 
 
-def normal_cdf(t: float, mean: float = 0.0, variance: float = 1.0) -> float:
-    """Gaussian CDF via the complementary error function.
+def normal_cdf(t: float) -> float:
+    """Standard normal CDF via the complementary error function.
 
     math.erfc is the platform's correctly-rounded erfc implementation, so the
     absolute error here is far below the 1e-12 contract.
     """
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    z = (t - mean) / math.sqrt(variance)
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
 def one_sample_ks(sorted_samples: np.ndarray, cdf) -> float:
@@ -46,9 +49,6 @@ class KSReport:
     """A KS statistic with the context needed to judge it."""
 
     statistic: float
-    n_left: int
-    n_right: int
-    reference: str
     critical_5pct: float
 
     def __post_init__(self):
@@ -71,13 +71,7 @@ def two_sample_ks(a, b) -> KSReport:
     cdf_b = np.searchsorted(b, merged, side="right") / b.size
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     crit = KS_COEFF_5PCT * math.sqrt((a.size + b.size) / (a.size * b.size))
-    return KSReport(
-        statistic=stat,
-        n_left=int(a.size),
-        n_right=int(b.size),
-        reference="two-sample",
-        critical_5pct=crit,
-    )
+    return KSReport(statistic=stat, critical_5pct=crit)
 
 
 def one_sample_critical_5pct(n: int) -> float:
@@ -90,18 +84,14 @@ class SummaryStats:
     variance: float
     skewness: float
     quantiles: dict[float, float]
-    count: int
 
 
-_DEFAULT_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
-def summary(samples, quantiles=_DEFAULT_QUANTILES) -> SummaryStats:
-    """Mean, unbiased variance, adjusted skewness and interpolated quantiles.
-
-    Accepts a plain array or anything with a ``samples`` attribute.
-    """
-    x = np.asarray(getattr(samples, "samples", samples), dtype=np.float64)
+def summary(samples) -> SummaryStats:
+    """Mean, unbiased variance, adjusted skewness and interpolated quantiles."""
+    x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
         raise InsufficientSamples("summary needs at least two samples")
     n = x.size
@@ -115,5 +105,5 @@ def summary(samples, quantiles=_DEFAULT_QUANTILES) -> SummaryStats:
     else:
         g1 = m3 / m2**1.5
         skew = math.sqrt(n * (n - 1)) / (n - 2) * g1 if n > 2 else g1
-    qs = {float(q): float(np.quantile(x, q)) for q in quantiles}
-    return SummaryStats(mean=mean, variance=variance, skewness=skew, quantiles=qs, count=n)
+    qs = {q: float(np.quantile(x, q)) for q in _QUANTILES}
+    return SummaryStats(mean=mean, variance=variance, skewness=skew, quantiles=qs)

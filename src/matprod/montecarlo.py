@@ -13,8 +13,8 @@ in a fixed order set by its domain:
     this layer, live unit of the one before) of every trial, in (trial, row,
     column) order;
 ``DOMAIN_CHI2``
-    the chi-square product law: for each width, the block's normals or
-    gamma variates;
+    the chi-square product law: for each width n, one block of gamma
+    variates of shape n/2;
 ``DOMAIN_NET_BLOCKS``
     ReLU-net Jacobians (``relunets.jacobian_batch``): for each layer, the
     full weight block, then the bias block.
@@ -47,7 +47,6 @@ is the number of CPUs the process may run on.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -66,10 +65,6 @@ DOMAIN_PRODUCT = 1
 DOMAIN_CHI2 = 2
 DOMAIN_NETS = 3
 DOMAIN_NET_BLOCKS = 4
-
-# Chi-square draws: exact sum of squared normals up to this dof, gamma
-# rejection sampling above it.
-CHI2_EXACT_DOF = 32
 
 # Padded weight entries (8 bytes each) that one slice of a product block
 # draws and contracts at once; a trial that needs more gets a slice alone.
@@ -112,13 +107,11 @@ def chunk_stream(seed: int, domain: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Sorted log-norm samples plus the zero-event counter and provenance."""
+    """Sorted log-norm samples plus the zero-event counter."""
 
     samples: np.ndarray
     zero_event_count: int
     trials: int
-    seed: int
-    fingerprint: str
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.float64)
@@ -138,16 +131,8 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    k: int
     estimate: float
     stderr: float
-    trials: int
-
-
-def batch_fingerprint(config: EnsembleConfig, u: UnitVector) -> str:
-    u_tag = hashlib.sha256(u.coords.tobytes()).hexdigest()[:8]
-    text = f"{config.fingerprint()};u={u.label}:{u_tag}"
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Generator):
@@ -319,13 +304,7 @@ def run_trials(
         return _product_chunk(config, u0, rng)
 
     samples, zero_events = _collect_chunks(trials, trial_offset, threads, chunk_fn)
-    return SampleBatch(
-        samples=samples,
-        zero_event_count=zero_events,
-        trials=trials,
-        seed=seed,
-        fingerprint=batch_fingerprint(config, u),
-    )
+    return SampleBatch(samples, zero_events, trials)
 
 
 def empirical_moment(batch: SampleBatch, k: int) -> MomentEstimate:
@@ -340,7 +319,7 @@ def empirical_moment(batch: SampleBatch, k: int) -> MomentEstimate:
     sq_total = float(values @ values)
     var = (sq_total - n * mean * mean) / (n - 1)
     var = max(var, 0.0)
-    return MomentEstimate(k=k, estimate=mean, stderr=math.sqrt(var / n), trials=n)
+    return MomentEstimate(estimate=mean, stderr=math.sqrt(var / n))
 
 
 def ks_to_gaussian(batch: SampleBatch, mean: float, variance: float) -> float:
@@ -355,18 +334,13 @@ def ks_to_gaussian(batch: SampleBatch, mean: float, variance: float) -> float:
         raise ValueError("variance must be positive")
     scale = 1.0 / math.sqrt(variance)
     z = (batch.samples - mean) * scale
-    return one_sample_ks(z, lambda t: normal_cdf(t))
+    return one_sample_ks(z, normal_cdf)
 
 
 def _chi2_chunk(widths, rng: np.random.Generator):
     logs = np.zeros(CHUNK)
     for n in widths:
-        if n <= CHI2_EXACT_DOF:
-            z = rng.standard_normal((CHUNK, n))
-            draw = np.einsum("ci,ci->c", z, z)
-        else:
-            draw = 2.0 * rng.standard_gamma(n / 2.0, size=CHUNK)
-        logs += np.log(draw / n)
+        logs += np.log(2.0 * rng.standard_gamma(n / 2.0, size=CHUNK) / n)
     return logs, np.ones(CHUNK, dtype=bool)
 
 
@@ -374,14 +348,12 @@ def chi_square_product_sampler(
     widths,
     trials: int,
     seed: int,
-    trial_offset: int = 0,
     threads: int | None = None,
 ) -> SampleBatch:
     """Samples of the log of a product of independent chi-square/dof ratios.
 
-    One factor per width; an empty width list gives identically zero samples.
-    Small dof is drawn as an exact sum of squared normals, large dof through
-    numpy's gamma rejection sampler.
+    One factor per width, each drawn as twice a gamma variate of shape
+    dof/2; an empty width list gives identically zero samples.
     """
     widths = tuple(int(n) for n in widths)
     if any(n < 1 for n in widths):
@@ -393,12 +365,5 @@ def chi_square_product_sampler(
         rng = chunk_stream(seed, DOMAIN_CHI2, index)
         return _chi2_chunk(widths, rng)
 
-    samples, zero_events = _collect_chunks(trials, trial_offset, threads, chunk_fn)
-    tag = hashlib.sha256(f"chi2;widths={widths}".encode()).hexdigest()[:12]
-    return SampleBatch(
-        samples=samples,
-        zero_event_count=zero_events,
-        trials=trials,
-        seed=seed,
-        fingerprint=tag,
-    )
+    samples, zero_events = _collect_chunks(trials, 0, threads, chunk_fn)
+    return SampleBatch(samples, zero_events, trials)

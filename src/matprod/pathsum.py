@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distributions import DistributionSpec
-from .ensemble import BetaParams, EnsembleConfig, UnitVector
+from .ensemble import EnsembleConfig, UnitVector
 from .errors import BudgetExceeded, DimensionMismatch, FloatRangeError
 
 # A unit of the shape contraction, one 64-bit word of one integer product,
@@ -309,16 +309,15 @@ def _shape_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
     return Fraction(total, common**k * math.prod(scale * n**k for n in widths))
 
 
-def theory_moment(beta, k: int) -> float:
+def theory_moment(beta: float, k: int) -> float:
     """Leading-order log-normal prediction exp(comb(k,2) * beta)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    value = beta.beta if isinstance(beta, BetaParams) else float(beta)
     try:
-        return math.exp(math.comb(k, 2) * value)
+        return math.exp(math.comb(k, 2) * beta)
     except OverflowError:
         raise FloatRangeError(
-            f"exp(comb({k},2) * beta) with beta = {value:.6g} is outside double precision"
+            f"exp(comb({k},2) * beta) with beta = {beta:.6g} is outside double precision"
         ) from None
 
 

@@ -1,11 +1,12 @@
 """Randomly initialized ReLU networks and their input-output Jacobians.
 
 Weights at layer i are drawn from an atomless symmetric unit-variance law and
-scaled by sqrt(2 / fan-in); biases come from a law of the same kind times a
-positive bias scale.  The Jacobian of the network output with respect to its
-input is the product of the per-layer matrices masked by the open-neuron
-pattern, and its squared norm applied to a fixed unit vector is distributed
-exactly like the masked matrix product ensemble at mask probability 1/2.
+scaled by sqrt(2 / fan-in); biases are drawn from the same law times a
+positive bias scale (there is no separate bias law).  The Jacobian of the
+network output with respect to its input is the product of the per-layer
+matrices masked by the open-neuron pattern, and its squared norm applied to a
+fixed unit vector is distributed exactly like the masked matrix product
+ensemble at mask probability 1/2.
 
 The statistical path (``jacobian_batch``) never materializes the Jacobian.
 It draws networks in blocks of ``CHUNK`` on the ensemble sampler's block
@@ -20,7 +21,6 @@ against it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,40 +50,21 @@ COMPARISON_MIN_TRIALS = 100
 
 @dataclass(frozen=True)
 class ReluNetConfig:
-    """Architecture plus weight/bias laws for random initialization."""
+    """Architecture, entry law and bias scale for random initialization."""
 
     architecture: Architecture
     weight_law: DistributionSpec
-    bias_law: DistributionSpec | None = None
     bias_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not self.weight_law.atomless:
             raise AtomicLawError("weight law must be atomless")
-        if self.bias_law is not None and not self.bias_law.atomless:
-            raise AtomicLawError("bias law must be atomless")
         if self.bias_scale <= 0.0:
             raise ValueError(f"bias scale must be positive, got {self.bias_scale}")
 
     @property
     def widths(self) -> tuple[int, ...]:
         return self.architecture.widths
-
-    @property
-    def effective_bias_law(self) -> DistributionSpec:
-        return self.bias_law if self.bias_law is not None else self.weight_law
-
-    def fingerprint(self) -> str:
-        text = (
-            f"relu;widths={self.widths};w={self.weight_law.label};"
-            f"b={self.effective_bias_law.label}*{self.bias_scale!r}"
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
-
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(v, 0.0)
 
 
 def default_input(dim: int) -> np.ndarray:
@@ -115,10 +96,10 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
         n, m = widths[i], widths[i - 1]
         w = cfg.weight_law.sample(rng, (CHUNK, n, m))
         w *= math.sqrt(2.0 / m)
-        b = cfg.effective_bias_law.sample(rng, (CHUNK, n)) * cfg.bias_scale
+        b = cfg.weight_law.sample(rng, (CHUNK, n)) * cfg.bias_scale
         pre = np.matmul(w, h[:, :, None])[:, :, 0] + b
         v = np.matmul(w, v[:, :, None])[:, :, 0] * (pre > 0.0)
-        h = relu(pre)
+        h = np.maximum(pre, 0.0)
         v = _renormalize(v, n / m, logs, alive)
     return logs, alive
 
@@ -133,9 +114,9 @@ def jacobian_draws(config: ReluNetConfig, trials: int) -> int:
 def jacobian_batch(
     config: ReluNetConfig,
     trials: int,
-    seed: int | None = None,
-    x=None,
-    u: UnitVector | None = None,
+    seed: int,
+    x,
+    u: UnitVector,
     threads: int | None = None,
 ) -> SampleBatch:
     """Jacobian log-norm samples over independently drawn networks.
@@ -149,17 +130,13 @@ def jacobian_batch(
         raise ValueError("trials must be nonnegative")
     check_draws(jacobian_draws(config, trials), "Jacobian sampler")
     widths = config.widths
-    x = default_input(widths[0]) if x is None else np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != (widths[0],):
         raise DimensionMismatch(f"input has shape {x.shape}, network expects ({widths[0]},)")
     if not np.any(x):
         raise ValueError("evaluation input must be nonzero")
-    if u is None:
-        u = UnitVector.uniform(widths[0])
     if u.dim != widths[0]:
         raise DimensionMismatch(f"u has dim {u.dim}, network expects {widths[0]}")
-    if seed is None:
-        seed = config.seed
     u0 = u.coords
 
     def chunk_fn(index: int):
@@ -167,21 +144,15 @@ def jacobian_batch(
         return _jacobian_chunk(config, x, u0, rng)
 
     samples, zero_events = _collect_chunks(trials, 0, threads, chunk_fn)
-    return SampleBatch(
-        samples=samples,
-        zero_event_count=zero_events,
-        trials=trials,
-        seed=seed,
-        fingerprint=config.fingerprint(),
-    )
+    return SampleBatch(samples, zero_events, trials)
 
 
 def compare_jacobian_vs_product(
     config: ReluNetConfig,
     trials: int,
     seed: int,
-    x=None,
-    u: UnitVector | None = None,
+    x,
+    u: UnitVector,
     product_p=Fraction(1, 2),
     threads: int | None = None,
 ) -> JacobianComparison:
@@ -193,10 +164,7 @@ def compare_jacobian_vs_product(
     """
     if trials < COMPARISON_MIN_TRIALS:
         raise ValueError(f"comparison needs at least {COMPARISON_MIN_TRIALS} trials per side")
-    widths = config.widths
-    if u is None:
-        u = UnitVector.uniform(widths[0])
-    ensemble: EnsembleConfig = make_config(widths, Fraction(product_p), config.weight_law)
+    ensemble: EnsembleConfig = make_config(config.widths, Fraction(product_p), config.weight_law)
     draws = jacobian_draws(config, trials) + product_draws(ensemble, u, trials)
     check_draws(draws, "Jacobian comparison")
     jac = jacobian_batch(config, trials, seed=seed, x=x, u=u, threads=threads)

@@ -8,7 +8,8 @@ factors), and ``moebius_masses`` its initial masses by Moebius inversion
 over set partitions of the blocks; the engine reaches both by recursions
 over integer partitions instead.  ``assignment_moment``
 averages the norm power over every weight and mask realization of a discrete
-law, with no path expansion at all.  ``sample_network``,
+law, with no path expansion at all.  ``unit_from_squares`` builds a
+nonnegative unit vector from exact squared coordinates.  ``sample_network``,
 ``forward`` and ``dense_jacobian`` draw one ReLU network and differentiate
 it by the chain rule with dense matrices, with no renormalised vector
 propagation, so they share no code with ``relunets._jacobian_chunk``.
@@ -22,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from matprod.ensemble import UnitVector
 from matprod.montecarlo import DOMAIN_NETS, chunk_stream
 from matprod.pathsum import integer_partitions
 
@@ -203,15 +205,21 @@ def assignment_moment(config, u, k) -> Fraction:
     return total
 
 
-def sample_network(cfg, trial: int):
+def unit_from_squares(squares) -> UnitVector:
+    """The nonnegative unit vector with these exact squared coordinates."""
+    sq = tuple(Fraction(s) for s in squares)
+    return UnitVector(tuple(math.sqrt(s) for s in sq), sq)
+
+
+def sample_network(cfg, seed: int, trial: int):
     """One network of a ``ReluNetConfig`` as (weights, biases), drawn from
-    ``chunk_stream(cfg.seed, DOMAIN_NETS, trial)``: per layer the weights times
-    sqrt(2 / fan-in), then the bias."""
-    rng = chunk_stream(cfg.seed, DOMAIN_NETS, trial)
+    ``chunk_stream(seed, DOMAIN_NETS, trial)``: per layer the weights times
+    sqrt(2 / fan-in), then the biases from the same law times the bias scale."""
+    rng = chunk_stream(seed, DOMAIN_NETS, trial)
     weights, biases = [], []
     for m, n in zip(cfg.widths, cfg.widths[1:]):
         weights.append(cfg.weight_law.sample(rng, (n, m)) * math.sqrt(2.0 / m))
-        biases.append(cfg.effective_bias_law.sample(rng, n) * cfg.bias_scale)
+        biases.append(cfg.weight_law.sample(rng, n) * cfg.bias_scale)
     return weights, biases
 
 

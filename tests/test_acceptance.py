@@ -112,7 +112,7 @@ def test_criterion_01_oracle_equivalence():
             exact = exact_moment(cfg, u, k)
             brute = brute_force_moment(cfg, u, k)
             assert isinstance(exact, F) and isinstance(brute, F)
-            assert exact == brute, (widths, p, law.label, u_name, k, exact, brute)
+            assert exact == brute, (widths, p, law, u_name, k, exact, brute)
             checked += 1
     elapsed = time.perf_counter() - start
     report(
@@ -134,7 +134,7 @@ def test_criterion_02_first_moment_identity():
         worst_exact = max(worst_exact, abs(float(exact) - 1.0))
         assert abs(float(exact) - 1.0) <= 1e-12
 
-        key = (widths, p, law.label, u_name)
+        key = (widths, p, law, u_name)
         if key in seen:
             continue
         seen.add(key)
@@ -251,14 +251,14 @@ def test_criterion_09_finite_difference_jacobian():
     while checked < 50:
         trial += 1
         widths = tuple(int(w) for w in rng.integers(2, 9, size=int(rng.integers(2, 5))))
-        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=GAUSS, seed=515)
-        weights, biases = sample_network(cfg, trial)
+        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=GAUSS)
+        weights, biases = sample_network(cfg, 515, trial)
         x = rng.standard_normal(widths[0])
         out, pres = forward(weights, biases, x)
         if min(float(np.min(np.abs(p))) for p in pres) <= margin:
             continue
         direction = rng.standard_normal(widths[0])
-        u = UnitVector.from_coords(direction / np.linalg.norm(direction))
+        u = UnitVector(direction / np.linalg.norm(direction))
         fd = (forward(weights, biases, x + eps * u.coords)[0] - out) / eps
         ju = dense_jacobian(weights, biases, x) @ u.coords
         err = float(np.max(np.abs(fd - ju)))

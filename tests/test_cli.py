@@ -63,6 +63,24 @@ class TestParsing:
         assert cfg.trials == 10
         assert cfg.seed == 3
 
+    # the fingerprints an earlier release printed for these runs: a field
+    # added to the payload, or a run-only field left in it, changes them
+    @pytest.mark.parametrize(
+        "argv, fingerprint",
+        [
+            (["beta", "--widths", "8x4", "--p", "0.5", "--dist", "rademacher", "--u", "e1"],
+             "0e3ec267999c"),
+            (["moments", "--widths", "8x3", "--p", "0.5", "--k", "1,2", "--trials", "1",
+              "--seed", "3", "--format", "json"], "bfa0c48fa61d"),
+            (["jacobian-compare", "--widths", "4,6x2", "--trials", "300", "--seed", "9",
+              "--x", "e1", "--bias-scale", "0.5", "--threads", "2", "--assert"],
+             "a7bff00a8589"),
+        ],
+        ids=["beta", "moments", "jacobian-compare"],
+    )
+    def test_fingerprint_is_stable(self, argv, fingerprint):
+        assert parse_config(argv).fingerprint() == fingerprint
+
     def test_unreadable_config_file(self, capsys):
         assert main(["beta", "--config", "/nonexistent.json", "--widths", "2,2"]) == 2
 
@@ -267,6 +285,14 @@ class TestMomentsCommand:
                 row["reason"]
             )
 
+    def test_refused_sampler_measures_no_zero_event_rate(self, tmp_path):
+        out = tmp_path / "moments.csv"
+        assert main(["moments", "--widths", "1000x120", "--trials", "2", "--k", "1",
+                     "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0]["monte_carlo"] == rows[0]["zero_event_rate"] == ""
+        assert "monte_carlo: product sampler draws ~3.07e+10" in rows[0]["reason"]
+
     def test_exact_rational_outside_double_range(self, tmp_path, capsys):
         out = tmp_path / "moments.csv"
         code = main(
@@ -310,12 +336,12 @@ class TestMomentsCommand:
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_too_few_trials_row(self, tmp_path, trials):
-        # --trials 0 builds no batch at all; both print the same rows
+        # neither builds a batch, so no zero-event rate is measured
         out = tmp_path / "moments.csv"
         assert main(["moments", "--widths", "3,3", "--p", "1", "--k", "1,2",
                      "--trials", str(trials), "--output", str(out)]) == 0
         _, rows = read_csv(out)
-        assert [row["zero_event_rate"] for row in rows] == ["0", "0"]
+        assert [row["zero_event_rate"] for row in rows] == ["", ""]
         assert [row["monte_carlo"] + row["mc_stderr"] for row in rows] == ["", ""]
         assert [row["reason"] for row in rows] == ["monte_carlo: needs at least 2 trials"] * 2
 

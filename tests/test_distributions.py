@@ -22,7 +22,6 @@ def test_gaussian_moments(gauss):
     assert gauss.moment(4) == 3
     assert gauss.moment(6) == 15
     assert gauss.moment(8) == 105
-    assert gauss.mu4 == 3.0
     assert gauss.atomless
 
 
@@ -30,7 +29,6 @@ def test_rademacher_moments(rad):
     assert rad.moment(2) == 1
     assert rad.moment(4) == 1
     assert rad.moment(100) == 1
-    assert rad.mu4 == 1.0
     assert not rad.atomless
 
 
@@ -84,7 +82,7 @@ def test_sampling_matches_low_moments(law_name, rng):
     x = law.sample(rng, 200_000)
     assert abs(x.mean()) < 0.01
     assert abs(x.var() - 1.0) < 0.02
-    assert abs((x**4).mean() - law.mu4) < 0.1
+    assert abs((x**4).mean() - float(law.moment(4))) < 0.1
 
 
 def test_discrete_sampling_hits_support(rng):

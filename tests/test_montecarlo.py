@@ -34,7 +34,7 @@ def replay_input(name, dim):
     if name == "uniform":
         return UnitVector.uniform(dim)
     coords = np.random.default_rng(7).standard_normal(dim)
-    return UnitVector.from_coords(coords / np.linalg.norm(coords))
+    return UnitVector(coords / np.linalg.norm(coords))
 
 
 def atomic_zero_probability(widths, p, law):
@@ -85,13 +85,7 @@ def atomic_zero_probability(widths, p, law):
 def manual_batch(samples, zero_events=0, trials=None):
     samples = np.sort(np.asarray(samples, dtype=np.float64))
     trials = trials if trials is not None else samples.size + zero_events
-    return SampleBatch(
-        samples=samples,
-        zero_event_count=zero_events,
-        trials=trials,
-        seed=0,
-        fingerprint="manual",
-    )
+    return SampleBatch(samples=samples, zero_event_count=zero_events, trials=trials)
 
 
 class TestRunTrials:
@@ -350,21 +344,9 @@ class TestRunTrials:
 
     def test_batch_invariants_validated(self):
         with pytest.raises(ValueError):
-            SampleBatch(
-                samples=np.array([1.0, 0.0]),
-                zero_event_count=0,
-                trials=2,
-                seed=0,
-                fingerprint="x",
-            )
+            SampleBatch(samples=np.array([1.0, 0.0]), zero_event_count=0, trials=2)
         with pytest.raises(ValueError):
-            SampleBatch(
-                samples=np.array([0.0]),
-                zero_event_count=1,
-                trials=1,
-                seed=0,
-                fingerprint="x",
-            )
+            SampleBatch(samples=np.array([0.0]), zero_event_count=1, trials=1)
 
 
 class TestEmpiricalMoment:
@@ -430,10 +412,10 @@ class TestChiSquareSampler:
         b = chi_square_product_sampler((8, 8), 1000, seed=7)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_gamma_path_matches_sum_of_squares_law(self):
-        # dof above the exact threshold goes through the gamma sampler;
-        # both routes must produce the same distribution
-        n = 40
+    @pytest.mark.parametrize("n", [1, 2, 8, 40])
+    def test_gamma_path_matches_sum_of_squares_law(self, n):
+        # every factor is twice a gamma variate of shape n/2 (1/2 at n = 1);
+        # its law must be that of a sum of n squared standard normals
         batch = chi_square_product_sampler((n,), 20_000, seed=3)
         ref = scipy.stats.chi2(df=n).rvs(size=20_000, random_state=11)
         report = two_sample_ks(np.exp(batch.samples) * n, ref)
@@ -455,7 +437,7 @@ class TestChiSquareSampler:
 
         d, n, trials = 16, 64, 100_000
         batch = chi_square_product_sampler((n,) * d, trials, seed=9)
-        stats = summary(batch)
+        stats = summary(batch.samples)
         exact_mean = d * (sp.digamma(n / 2) - math.log(n / 2))
         exact_var = d * sp.polygamma(1, n / 2)
         mean_se = math.sqrt(stats.variance / trials)

@@ -35,6 +35,7 @@ from oracles import (
     partition_meet,
     set_partition_transfer,
     set_partitions,
+    unit_from_squares,
 )
 
 
@@ -185,13 +186,13 @@ class TestExactMoment:
             u = [
                 UnitVector.basis(n0),
                 UnitVector.uniform(n0),
-                UnitVector.from_squares([F(2 * i + 1, n0 * n0) for i in range(n0)]),
+                unit_from_squares([F(2 * i + 1, n0 * n0) for i in range(n0)]),
             ][int(rng.integers(0, 3))]
             cfg = make_config(widths, p, law)
             exact = exact_moment(cfg, u, k)
             brute = brute_force_moment(cfg, u, k)
             assert isinstance(exact, F) and isinstance(brute, F)
-            assert exact == brute, (widths, law.label, p, u.squares, k)
+            assert exact == brute, (widths, law, p, u.squares, k)
 
     def test_gaussian_closed_form(self, gauss):
         for widths in [(8,) * 6, (8, 3, 5, 8, 2)]:
@@ -214,7 +215,7 @@ class TestExactMoment:
 
     def test_float_coordinates_wide_and_deep(self, gauss):
         coords = np.random.default_rng(20181214).standard_normal(1000)
-        u = UnitVector.from_coords(coords / np.sqrt(coords @ coords))
+        u = UnitVector(coords / np.sqrt(coords @ coords))
         widths = (1000,) * 121
         value = exact_moment(make_config(widths, F(1, 2), gauss), u, 4)
         assert value == gaussian_moment(widths, F(1, 2), 4) * squared_norm(u) ** 4
@@ -222,14 +223,14 @@ class TestExactMoment:
     def test_float_coordinates_beyond_double_range(self, gauss):
         # E[Z^6] here is near 1e420, outside double precision
         cfg = make_config((2,) * 101, F(1, 2), gauss)
-        u = UnitVector.from_coords([0.6, 0.8])
+        u = UnitVector([0.6, 0.8])
         value = exact_moment(cfg, u, 6)
         assert isinstance(value, F) and value > 10**400
         assert value == gaussian_moment(cfg.widths, F(1, 2), 6) * squared_norm(u) ** 6
 
     def test_float_coordinates_are_exact(self, gauss):
         cfg = make_config((2, 2), 1, gauss)
-        u = UnitVector.from_coords([0.6, 0.8])
+        u = UnitVector([0.6, 0.8])
         value = exact_moment(cfg, u, 2)
         assert isinstance(value, F)
         # 0.6 and 0.8 are not dyadic, so the squared norm is not exactly 1
@@ -357,7 +358,7 @@ class TestBruteForce:
         # a signed float u: odd-visit tuples drop out whatever the signs
         for widths, p in [((2, 3), 1), ((2, 2, 2), F(1, 2))]:
             cfg = make_config(widths, p, rad)
-            u = UnitVector.from_coords([0.6, -0.8])
+            u = UnitVector([0.6, -0.8])
             value = brute_force_moment(cfg, u, 2)
             assert isinstance(value, F)
             assert value == exact_moment(cfg, u, 2)
@@ -397,8 +398,3 @@ class TestTheoryMoment:
     def test_overflow_is_an_error(self):
         with pytest.raises(FloatRangeError):
             theory_moment(250.0, 6)
-
-    def test_accepts_beta_params(self, gauss):
-        cfg = make_config((4, 4), 1, gauss)
-        params = compute_beta(cfg, UnitVector.uniform(4))
-        assert theory_moment(params, 3) == pytest.approx(math.exp(3 * params.beta))

@@ -23,15 +23,18 @@ from matprod.relunets import (
     default_input,
     jacobian_batch,
     jacobian_draws,
-    relu,
 )
 from oracles import dense_jacobian, forward, sample_network
 
 
-def tiny_config(gauss, widths=(5, 6, 4, 3), seed=42, bias_scale=1.0):
-    return ReluNetConfig(
-        architecture=Architecture(widths), weight_law=gauss, seed=seed, bias_scale=bias_scale
-    )
+def tiny_config(gauss, widths=(5, 6, 4, 3), bias_scale=1.0):
+    return ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, bias_scale=bias_scale)
+
+
+def inputs(cfg):
+    """The CLI's default evaluation input and direction: all-ones x, uniform u."""
+    n0 = cfg.widths[0]
+    return default_input(n0), UnitVector.uniform(n0)
 
 
 class TestConfig:
@@ -44,16 +47,13 @@ class TestConfig:
             ReluNetConfig(architecture=Architecture((3, 3)), weight_law=gauss, bias_scale=0.0)
 
     def test_weight_scale_is_two_over_fan_in(self, gauss):
-        cfg = tiny_config(gauss, widths=(50, 80), seed=1)
-        weights, _ = sample_network(cfg, 0)
+        cfg = tiny_config(gauss, widths=(50, 80))
+        weights, _ = sample_network(cfg, 1, 0)
         assert weights[0].shape == (80, 50)
         assert float(np.var(weights[0])) == pytest.approx(2 / 50, rel=0.15)
 
 
 class TestForward:
-    def test_relu_componentwise(self):
-        assert relu(np.array([-1.0, 2.0])) == pytest.approx([0.0, 2.0])
-
     # the forward pass of the test-side oracle
     def test_all_negative_preactivations_zero_out(self):
         weights = [np.array([[1.0], [1.0]]), np.array([[1.0, 1.0]])]
@@ -79,14 +79,14 @@ class TestJacobian:
         while checked < 50:
             trial += 1
             widths = tuple(int(w) for w in rng.integers(2, 9, size=int(rng.integers(2, 5))))
-            cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, seed=1234)
-            weights, biases = sample_network(cfg, trial)
+            cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss)
+            weights, biases = sample_network(cfg, 1234, trial)
             x = rng.standard_normal(widths[0])
             out, pres = forward(weights, biases, x)
             if min(float(np.min(np.abs(p))) for p in pres) <= margin:
                 continue
             direction = rng.standard_normal(widths[0])
-            u = UnitVector.from_coords(direction / np.linalg.norm(direction))
+            u = UnitVector(direction / np.linalg.norm(direction))
             fd = (forward(weights, biases, x + eps * u.coords)[0] - out) / eps
             ju = dense_jacobian(weights, biases, x) @ u.coords
             assert float(np.max(np.abs(fd - ju))) <= 1e-5
@@ -94,13 +94,13 @@ class TestJacobian:
 
     def test_open_fraction_is_half(self, gauss):
         widths = (4, 5, 5, 4)
-        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, seed=7)
+        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss)
         nets = 10_000
         x = default_input(4)
         opens = 0
         neurons = 0
         for t in range(nets):
-            _, pres = forward(*sample_network(cfg, t), x)
+            _, pres = forward(*sample_network(cfg, 7, t), x)
             opens += sum(int(np.count_nonzero(pre > 0.0)) for pre in pres)
             neurons += sum(widths[1:])
         rate = opens / neurons
@@ -109,11 +109,9 @@ class TestJacobian:
 
 
 class TestBlockEngine:
-    def test_every_trial_matches_its_single_network(self, gauss, unif):
+    def test_every_trial_matches_its_single_network(self, gauss):
         widths = (5, 6, 4, 3)
-        cfg = ReluNetConfig(
-            architecture=Architecture(widths), weight_law=gauss, bias_law=unif, bias_scale=0.5
-        )
+        cfg = tiny_config(gauss, widths=widths, bias_scale=0.5)
         x, u = default_input(5), UnitVector.uniform(5)
         logs, alive = _jacobian_chunk(cfg, x, u.coords, chunk_stream(42, DOMAIN_NET_BLOCKS, 0))
         # replay the block's draws: per layer the weight block, then the bias block
@@ -121,7 +119,7 @@ class TestBlockEngine:
         weights, biases = [], []
         for m, n in zip(widths, widths[1:]):
             weights.append(gauss.sample(rng, (CHUNK, n, m)) * math.sqrt(2 / m))
-            biases.append(unif.sample(rng, (CHUNK, n)) * 0.5)
+            biases.append(gauss.sample(rng, (CHUNK, n)) * 0.5)
         dead = 0
         for t in range(CHUNK):
             ju = dense_jacobian([w[t] for w in weights], [b[t] for b in biases], x) @ u.coords
@@ -135,7 +133,8 @@ class TestBlockEngine:
 
     def test_thread_count_does_not_change_batch(self, gauss):
         cfg = tiny_config(gauss, widths=(6, 8, 8, 8, 8))
-        first, *rest = [jacobian_batch(cfg, 1000, seed=9, threads=t) for t in (1, 2, 3)]
+        x, u = inputs(cfg)
+        first, *rest = [jacobian_batch(cfg, 1000, 9, x, u, threads=t) for t in (1, 2, 3)]
         assert first.zero_event_count > 0
         for batch in rest:
             assert np.array_equal(batch.samples, first.samples)
@@ -143,20 +142,21 @@ class TestBlockEngine:
 
     def test_zero_event_rate(self, gauss):
         widths = (3, 3, 3, 3, 3)
-        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, seed=1210)
+        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss)
         n = 20_000
-        batch = jacobian_batch(cfg, n)
+        batch = jacobian_batch(cfg, n, 1210, *inputs(cfg))
         q = zero_event_probability(make_config(widths, F(1, 2), gauss)).probability
         assert abs(batch.zero_event_rate - q) <= 4 * math.sqrt(q * (1 - q) / n)
 
     def test_input_checks(self, gauss):
         cfg = tiny_config(gauss)
+        x, u = inputs(cfg)
         with pytest.raises(ValueError):
-            jacobian_batch(cfg, 10, x=np.zeros(5))
+            jacobian_batch(cfg, 10, 0, np.zeros(5), u)
         with pytest.raises(DimensionMismatch):
-            jacobian_batch(cfg, 10, u=UnitVector.uniform(4))
+            jacobian_batch(cfg, 10, 0, x, UnitVector.uniform(4))
         with pytest.raises(DimensionMismatch):
-            jacobian_batch(cfg, 10, x=np.ones(4))
+            jacobian_batch(cfg, 10, 0, np.ones(4), u)
 
 
 class TestComparison:
@@ -171,29 +171,28 @@ class TestComparison:
 
     def test_matches_product_law(self, gauss):
         cfg = ReluNetConfig(architecture=Architecture((8, 16, 16, 16)), weight_law=gauss)
-        comparison = compare_jacobian_vs_product(cfg, trials=5000, seed=13)
+        comparison = compare_jacobian_vs_product(cfg, 5000, 13, *inputs(cfg))
         assert comparison.ks.statistic <= comparison.ks.critical_5pct * 1.5
 
     def test_negative_control_detected(self, gauss):
         cfg = ReluNetConfig(architecture=Architecture((8, 16, 16, 16)), weight_law=gauss)
-        comparison = compare_jacobian_vs_product(
-            cfg, trials=5000, seed=13, product_p=F(9, 10)
-        )
+        comparison = compare_jacobian_vs_product(cfg, 5000, 13, *inputs(cfg), product_p=F(9, 10))
         assert comparison.ks.statistic > 0.05
 
     def test_input_choice_does_not_change_law(self, gauss):
         cfg = ReluNetConfig(architecture=Architecture((8, 16, 16, 16)), weight_law=gauss)
         e1 = np.zeros(8)
         e1[0] = 1.0
-        a = jacobian_batch(cfg, 20_000, seed=3, x=e1)
-        b = jacobian_batch(cfg, 20_000, seed=4, x=default_input(8))
+        u = UnitVector.uniform(8)
+        a = jacobian_batch(cfg, 20_000, 3, e1, u)
+        b = jacobian_batch(cfg, 20_000, 4, default_input(8), u)
         report = two_sample_ks(a.samples, b.samples)
         assert report.statistic <= 0.02
 
     def test_trial_floor(self, gauss):
         cfg = tiny_config(gauss)
         with pytest.raises(ValueError):
-            compare_jacobian_vs_product(cfg, trials=10, seed=0)
+            compare_jacobian_vs_product(cfg, 10, 0, *inputs(cfg))
 
 
 class TestSamplerGuard:
@@ -207,6 +206,6 @@ class TestSamplerGuard:
         cfg = tiny_config(gauss, widths=(1000,) * 121)
         assert jacobian_draws(cfg, 200) == 256 * 120 * (1000**2 + 1000)
         with pytest.raises(BudgetExceeded, match=r"^Jacobian sampler draws"):
-            jacobian_batch(cfg, 200)
+            jacobian_batch(cfg, 200, 0, *inputs(cfg))
         with pytest.raises(BudgetExceeded, match=r"^Jacobian comparison draws"):
-            compare_jacobian_vs_product(cfg, 200, seed=0)
+            compare_jacobian_vs_product(cfg, 200, 0, *inputs(cfg))
