@@ -9,14 +9,8 @@ initialized ReLU networks.
 
 Importing the package loads no numpy: the closed form (``compute_beta``) and
 the exact moments (``exact_moment``, ``brute_force_moment``) run on Python
-integers and fractions.  The sampler side loads on first access: the
-modules ``ksstats``, ``montecarlo`` and ``relunets`` and their exported
-names ``KSReport``, ``SummaryStats``, ``normal_cdf``,
-``one_sample_critical_5pct``, ``one_sample_ks``, ``summary``,
-``two_sample_ks``, ``MomentEstimate``, ``SampleBatch``,
-``chi_square_product_sampler``, ``empirical_moment``, ``ks_to_gaussian``,
-``run_trials``, ``JacobianComparison``, ``ReluNetConfig`` and
-``compare_jacobian_vs_product``.
+integers and fractions.  The sampler side (the modules in ``_LAZY_MODULES``
+and the names they export) loads on first access.
 """
 
 __version__ = "0.1.0"
@@ -39,7 +33,6 @@ from .distributions import (
     validate_distribution,
 )
 from .ensemble import (
-    Architecture,
     BetaParams,
     EnsembleConfig,
     ErrorBudget,
@@ -47,7 +40,6 @@ from .ensemble import (
     ZeroEventEstimate,
     compute_beta,
     error_budget,
-    make_config,
     predict_layer_variance,
     zero_event_probability,
 )
@@ -78,7 +70,7 @@ _LAZY_MODULES = {
                 "one_sample_ks", "summary", "two_sample_ks"),
     "montecarlo": ("MomentEstimate", "SampleBatch", "chi_square_product_sampler",
                    "empirical_moment", "ks_to_gaussian", "run_trials"),
-    "relunets": ("JacobianComparison", "ReluNetConfig", "compare_jacobian_vs_product"),
+    "relunets": ("ReluNetConfig",),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

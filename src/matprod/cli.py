@@ -14,6 +14,10 @@ every value, flag or file entry, goes through that flag's one converter, so
 a bad value or an unknown key is a usage error (exit 2).  Every run with the
 same config and seed writes byte-identical output for any MATPROD_THREADS
 setting.
+
+Exit status: 0 when the run completes, 1 when an ``--assert`` check fails,
+2 on any error (a bad input or a refused request), with one
+``matprod: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -37,12 +41,7 @@ from .distributions import (
     discrete_symmetric,
     law_from_name,
 )
-from .ensemble import (
-    UnitVector,
-    compute_beta,
-    error_budget,
-    make_config,
-)
+from .ensemble import EnsembleConfig, UnitVector, compute_beta, error_budget
 from .errors import BudgetExceeded, FloatRangeError, MatprodError, UsageError
 from .pathsum import brute_force_moment, exact_moment, theory_moment
 
@@ -167,7 +166,8 @@ def _integer(flag: str, minimum: int):
 
 
 def _real(flag: str, positive: bool = False):
-    """Converter to a float (> 0 if positive), from flag text or a JSON number."""
+    """Converter to a float, > 0 if positive and otherwise finite and >= 0,
+    from flag text or a JSON number."""
 
     def convert(value) -> float:
         if isinstance(value, (int, float, str)) and not isinstance(value, bool):
@@ -178,6 +178,8 @@ def _real(flag: str, positive: bool = False):
             else:
                 if positive and not x > 0.0:
                     raise UsageError(f"{flag} must be positive, got {value!r}")
+                if not positive and not 0.0 <= x < math.inf:
+                    raise UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
                 return x
         raise UsageError(f"{flag} must be a number, got {value!r}")
 
@@ -225,6 +227,8 @@ _OPTIONS = {
     "--x": ("x", str, "ones | e1 | coordinate file"),
 }
 _JACOBIAN_ONLY = ("--product-p", "--bias-scale", "--x")
+# Fewest trials per side that jacobian-compare accepts.
+_JACOBIAN_MIN_TRIALS = 100
 _CONVERTERS = {field: convert for field, convert, _ in _OPTIONS.values()}
 
 
@@ -428,7 +432,7 @@ def _emit(config: ExperimentConfig, text: str) -> None:
 
 def _ensemble(config: ExperimentConfig):
     """The run's EnsembleConfig (entry law, widths, p) and starting vector u."""
-    ens = make_config(config.widths, config.p, resolve_law(config))
+    ens = EnsembleConfig(config.widths, config.p, resolve_law(config))
     return ens, resolve_u(config.u, config.widths[0])
 
 
@@ -620,27 +624,27 @@ def _run_chi2_check(config: ExperimentConfig):
 
 
 def _run_jacobian_compare(config: ExperimentConfig):
-    from .relunets import COMPARISON_MIN_TRIALS, ReluNetConfig, compare_jacobian_vs_product
-
-    if config.trials < COMPARISON_MIN_TRIALS:
+    if config.trials < _JACOBIAN_MIN_TRIALS:
         raise UsageError(
-            f"jacobian-compare needs --trials >= {COMPARISON_MIN_TRIALS}, got {config.trials}"
+            f"jacobian-compare needs --trials >= {_JACOBIAN_MIN_TRIALS}, got {config.trials}"
         )
+    from .ksstats import two_sample_ks
+    from .montecarlo import check_draws, product_draws, run_trials
+    from .relunets import ReluNetConfig, jacobian_batch, jacobian_draws
+
     ens, u = _ensemble(config)
-    if not ens.atomless:
+    if not ens.entry_law.atomless:
         raise UsageError("jacobian-compare needs an atomless --dist")
-    net_config = ReluNetConfig(ens.architecture, ens.entry_law, config.bias_scale)
+    net = ReluNetConfig(ens.widths, ens.entry_law, config.bias_scale)
     x = resolve_x(config.x, config.widths[0])
-    comparison = compare_jacobian_vs_product(
-        net_config,
-        trials=config.trials,
-        seed=config.seed,
-        x=x,
-        u=u,
-        product_p=config.product_p,
-        threads=config.threads,
-    )
-    report = comparison.ks
+    # the product side: same widths and law; --product-p away from 1/2 is a
+    # negative control
+    product = EnsembleConfig(ens.widths, config.product_p, ens.entry_law)
+    draws = jacobian_draws(net, config.trials) + product_draws(product, u, config.trials)
+    check_draws(draws, "Jacobian comparison")
+    jac_batch = jacobian_batch(net, config.trials, config.seed, x, u, threads=config.threads)
+    product_batch = run_trials(product, u, config.trials, config.seed, threads=config.threads)
+    report = two_sample_ks(jac_batch.samples, product_batch.samples)
     threshold = config.tolerance if config.tolerance is not None else report.critical_5pct
     columns = [
         "trials", "ks_statistic", "critical_5pct", "jacobian_zero_events",
@@ -650,8 +654,8 @@ def _run_jacobian_compare(config: ExperimentConfig):
         "trials": config.trials,
         "ks_statistic": report.statistic,
         "critical_5pct": report.critical_5pct,
-        "jacobian_zero_events": comparison.jacobian_batch.zero_event_count,
-        "product_zero_events": comparison.product_batch.zero_event_count,
+        "jacobian_zero_events": jac_batch.zero_event_count,
+        "product_zero_events": product_batch.zero_event_count,
         "product_p": float(config.product_p),
         "threshold": threshold,
     }]
@@ -681,14 +685,11 @@ def main(argv=None) -> int:
     try:
         config = parse_config(sys.argv[1:] if argv is None else argv)
         return run(config)
-    except (UsageError, BudgetExceeded) as exc:
-        # a refused sampler request is a bad input: the exact routes report
+    except MatprodError as exc:
+        # a refused sampler request is an error too: the exact routes report
         # theirs in moments' reason column
         print(f"matprod: error: {exc}", file=sys.stderr)
         return 2
-    except MatprodError as exc:
-        print(f"matprod: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Masked random-matrix ensembles and their closed-form quantities.
 
-Architecture, configuration and unit-vector types; the variance parameter
-beta, the one-layer variance, the zero-event probability and the raw error
-budget of the normal approximation.
+``EnsembleConfig`` fixes the model: the layer widths (n_0, ..., n_d), the
+mask probability p and the entry law.  ``checked_widths`` is its widths
+check, which ``relunets.ReluNetConfig`` shares.  ``UnitVector`` is the fixed
+starting vector u.  The closed forms are the variance parameter beta, the
+one-layer variance, the zero-event probability and the raw error budget of
+the normal approximation.
 
 The model: a product of depth-many random matrices, each the composition of a
 diagonal Bernoulli(p) mask and an i.i.d. matrix with entries from a symmetric
@@ -28,57 +31,33 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """Layer widths (n_0, ..., n_d), one matrix factor per width after n_0."""
-
-    widths: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(n) for n in self.widths))
-        if len(self.widths) < 2:
-            raise ValueError("architecture needs at least widths (n_0, n_1)")
-        if any(n < 1 for n in self.widths):
-            raise ValueError(f"widths must be positive, got {self.widths}")
-
-    @property
-    def inner_widths(self) -> tuple[int, ...]:
-        """Widths n_1..n_d of the layer outputs."""
-        return self.widths[1:]
+def checked_widths(widths) -> tuple[int, ...]:
+    """Layer widths (n_0, ..., n_d) as ints, one matrix factor per width
+    after n_0; ValueError unless there are two or more and all are positive."""
+    widths = tuple(int(n) for n in widths)
+    if len(widths) < 2:
+        raise ValueError("architecture needs at least widths (n_0, n_1)")
+    if any(n < 1 for n in widths):
+        raise ValueError(f"widths must be positive, got {widths}")
+    return widths
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Architecture plus mask probability and entry law.
+    """Layer widths (n_0, ..., n_d), mask probability and entry law.
 
-    ``p`` is kept as an exact Fraction so the moment engine can stay rational;
-    use :meth:`p_float` for numerics.  ``atomless`` mirrors the entry law.
+    ``p`` is kept as an exact Fraction so the moment engine can stay rational.
     """
 
-    architecture: Architecture
+    widths: tuple[int, ...]
     p: Fraction
     entry_law: DistributionSpec
 
     def __post_init__(self):
+        object.__setattr__(self, "widths", checked_widths(self.widths))
         object.__setattr__(self, "p", Fraction(self.p))
         if not 0 < self.p <= 1:
             raise ValueError(f"mask probability must be in (0, 1], got {self.p}")
-
-    @property
-    def p_float(self) -> float:
-        return float(self.p)
-
-    @property
-    def atomless(self) -> bool:
-        return self.entry_law.atomless
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return self.architecture.widths
-
-
-def make_config(widths, p, entry_law: DistributionSpec) -> EnsembleConfig:
-    return EnsembleConfig(Architecture(tuple(widths)), Fraction(p), entry_law)
 
 
 @dataclass(frozen=True)
@@ -232,11 +211,11 @@ def zero_event_probability(config: EnsembleConfig) -> ZeroEventEstimate:
     Each layer mask is all-zero with probability (1-p)^{n_j}; for atomless
     entry laws this is the only way the propagated vector can vanish.
     """
-    q = 1.0 - config.p_float
+    q = 1.0 - float(config.p)
     surviving = 1.0
     for n in config.widths[1:]:
         surviving *= 1.0 - q**n
-    return ZeroEventEstimate(1.0 - surviving, lower_bound_only=not config.atomless)
+    return ZeroEventEstimate(1.0 - surviving, lower_bound_only=not config.entry_law.atomless)
 
 
 @dataclass(frozen=True)
@@ -258,7 +237,7 @@ class ErrorBudget:
 def error_budget(config: EnsembleConfig, u: UnitVector) -> ErrorBudget:
     beta = compute_beta(config, u).beta
     s = sum(1.0 / n**2 for n in config.widths[1:])
-    q = 1.0 - config.p_float
+    q = 1.0 - float(config.p)
     mask_term = sum(q**n for n in config.widths[1:])
     if beta <= 0.0:
         linear = fifth = root = math.inf

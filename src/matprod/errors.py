@@ -51,4 +51,4 @@ class InsufficientSamples(MatprodError):
 
 
 class UsageError(MatprodError):
-    """Bad command-line, config-file or environment input; maps to exit status 2."""
+    """Bad command-line, config-file or environment input."""

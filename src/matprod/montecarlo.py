@@ -125,8 +125,9 @@ class SampleBatch:
             raise ValueError("samples must be sorted ascending")
 
     @property
-    def zero_event_rate(self) -> float:
-        return self.zero_event_count / self.trials if self.trials else 0.0
+    def zero_event_rate(self) -> float | None:
+        """Zero events per trial; None when no trial ran."""
+        return self.zero_event_count / self.trials if self.trials else None
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
     a dense u) the same numbers are drawn in its shape directly.
     """
     widths = config.widths
-    p = config.p_float
+    p = float(config.p)
     law = config.entry_law
     units = u0[u0 != 0.0]
     u = np.broadcast_to(units, (CHUNK, units.size)).copy()

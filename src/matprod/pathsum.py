@@ -244,10 +244,10 @@ def _moment_preflight(config: EnsembleConfig, u: UnitVector, k: int, k_cap: int)
         )
     if k > k_cap:
         raise BudgetExceeded(k, k_cap, message=f"moment order k={k} exceeds the cap {k_cap}")
-    if math.comb(k, 2) >= min(config.architecture.inner_widths):
+    if math.comb(k, 2) >= min(config.widths[1:]):
         warnings.warn(
             f"k={k} has comb(k,2)={math.comb(k, 2)} >= min width "
-            f"{min(config.architecture.inner_widths)}; the log-normal moment "
+            f"{min(config.widths[1:])}; the log-normal moment "
             "prediction is unreliable here (the exact value is still exact)",
             CollisionRegimeWarning,
             stacklevel=3,
@@ -283,7 +283,7 @@ def exact_moment(
         raise BudgetExceeded(cost, budget, what="shape transfer")
     *_, scale = _shape_transfer(config.entry_law, config.p, k)
     bits = k * u.scaled_squares[1].bit_length()
-    for n in config.architecture.inner_widths:
+    for n in config.widths[1:]:
         bits += scale.bit_length() + k * n.bit_length()
         cost += n_shapes**2 * (bits // 64 + 1)
     if cost > budget:
@@ -299,7 +299,7 @@ def _shape_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
     vec = _initial_masses(shapes, _power_sums(scaled, k))
     states = range(len(shapes))
     columns = [[(s, transfer[s][t]) for s in states if transfer[s][t]] for t in states]
-    widths = config.architecture.inner_widths
+    widths = config.widths[1:]
     counts = {n: [math.perm(n, len(shape)) for shape in shapes] for n in set(widths)}
     for n in widths:
         # k-tuples of each shape over n vertices; the layer's denominator is
@@ -429,5 +429,5 @@ def _bf_paths_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
         index[tuple(itertools.chain.from_iterable((v, v) for v in vtuple))]
         for vtuple in itertools.product(range(nd), repeat=k)
     ]
-    norm = math.prod(n**k for n in config.architecture.inner_widths)
+    norm = math.prod(n**k for n in config.widths[1:])
     return Fraction(sum(vec[i] for i in paired_indices), denom * norm)

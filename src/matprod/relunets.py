@@ -6,7 +6,9 @@ positive bias scale (there is no separate bias law).  The Jacobian of the
 network output with respect to its input is the product of the per-layer
 matrices masked by the open-neuron pattern, and its squared norm applied to a
 fixed unit vector is distributed exactly like the masked matrix product
-ensemble at mask probability 1/2.
+ensemble at mask probability 1/2.  ``matprod jacobian-compare`` tests that
+claim: it draws ``jacobian_batch`` and ``montecarlo.run_trials`` with the
+same widths and law and compares them with ``ksstats.two_sample_ks``.
 
 The statistical path (``jacobian_batch``) never materializes the Jacobian.
 It draws networks in blocks of ``CHUNK`` on the ensemble sampler's block
@@ -23,14 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .ensemble import Architecture, EnsembleConfig, UnitVector, make_config
+from .ensemble import UnitVector, checked_widths
 from .errors import AtomicLawError, DimensionMismatch
-from .ksstats import KSReport, two_sample_ks
 from .montecarlo import (
     CHUNK,
     DOMAIN_NET_BLOCKS,
@@ -40,45 +40,28 @@ from .montecarlo import (
     block_count,
     check_draws,
     chunk_stream,
-    product_draws,
-    run_trials,
 )
-
-# Fewest trials per side that compare_jacobian_vs_product accepts.
-COMPARISON_MIN_TRIALS = 100
 
 
 @dataclass(frozen=True)
 class ReluNetConfig:
-    """Architecture, entry law and bias scale for random initialization."""
+    """Layer widths, weight law and bias scale for random initialization."""
 
-    architecture: Architecture
+    widths: tuple[int, ...]
     weight_law: DistributionSpec
     bias_scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "widths", checked_widths(self.widths))
         if not self.weight_law.atomless:
             raise AtomicLawError("weight law must be atomless")
         if self.bias_scale <= 0.0:
             raise ValueError(f"bias scale must be positive, got {self.bias_scale}")
 
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return self.architecture.widths
-
 
 def default_input(dim: int) -> np.ndarray:
     """All-ones direction scaled to unit norm; any fixed nonzero input works."""
     return np.full(dim, dim**-0.5)
-
-
-@dataclass(frozen=True)
-class JacobianComparison:
-    """Two batches drawn from laws that should coincide, plus their KS report."""
-
-    jacobian_batch: SampleBatch
-    product_batch: SampleBatch
-    ks: KSReport
 
 
 def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.random.Generator):
@@ -146,28 +129,3 @@ def jacobian_batch(
     samples, zero_events = _collect_chunks(trials, 0, threads, chunk_fn)
     return SampleBatch(samples, zero_events, trials)
 
-
-def compare_jacobian_vs_product(
-    config: ReluNetConfig,
-    trials: int,
-    seed: int,
-    x,
-    u: UnitVector,
-    product_p=Fraction(1, 2),
-    threads: int | None = None,
-) -> JacobianComparison:
-    """Draws both sides and reports the two-sample KS statistic.
-
-    The product side runs the masked-ensemble sampler with the same widths
-    and entry law; ``product_p`` defaults to the matching 1/2 and can be set
-    elsewhere as a negative control.
-    """
-    if trials < COMPARISON_MIN_TRIALS:
-        raise ValueError(f"comparison needs at least {COMPARISON_MIN_TRIALS} trials per side")
-    ensemble: EnsembleConfig = make_config(config.widths, Fraction(product_p), config.weight_law)
-    draws = jacobian_draws(config, trials) + product_draws(ensemble, u, trials)
-    check_draws(draws, "Jacobian comparison")
-    jac = jacobian_batch(config, trials, seed=seed, x=x, u=u, threads=threads)
-    product = run_trials(ensemble, u, trials, seed, threads=threads)
-    report = two_sample_ks(jac.samples, product.samples)
-    return JacobianComparison(jacobian_batch=jac, product_batch=product, ks=report)

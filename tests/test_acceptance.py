@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from matprod import (
+    EnsembleConfig,
     UnitVector,
     brute_force_moment,
     compute_beta,
     exact_moment,
-    make_config,
     rademacher,
     run_trials,
     standard_gaussian,
@@ -106,7 +106,7 @@ def test_criterion_01_oracle_equivalence():
     start = time.perf_counter()
     checked = 0
     for widths, p, law, u_name in small_instance_grid():
-        cfg = make_config(widths, p, law)
+        cfg = EnsembleConfig(widths, p, law)
         u = build_u(u_name, widths[0])
         for k in (1, 2):
             exact = exact_moment(cfg, u, k)
@@ -128,7 +128,7 @@ def test_criterion_02_first_moment_identity():
     seen = set()
     count = 0
     for widths, p, law, u_name in small_instance_grid():
-        cfg = make_config(widths, p, law)
+        cfg = EnsembleConfig(widths, p, law)
         u = build_u(u_name, widths[0])
         exact = exact_moment(cfg, u, 1)
         worst_exact = max(worst_exact, abs(float(exact) - 1.0))
@@ -156,8 +156,8 @@ def test_criterion_02_first_moment_identity():
 
 
 def test_criterion_03_chi_square_exactness():
-    one_layer = exact_moment(make_config((2, 2), 1, GAUSS), UnitVector.basis(2), 2)
-    two_layer = exact_moment(make_config((2, 2, 2), 1, GAUSS), UnitVector.basis(2), 2)
+    one_layer = exact_moment(EnsembleConfig((2, 2), 1, GAUSS), UnitVector.basis(2), 2)
+    two_layer = exact_moment(EnsembleConfig((2, 2, 2), 1, GAUSS), UnitVector.basis(2), 2)
     report(
         "criterion 3 (chi-square exactness)",
         one_layer == 2 and two_layer == 4,
@@ -166,7 +166,7 @@ def test_criterion_03_chi_square_exactness():
 
 
 def test_criterion_04_deterministic_case():
-    cfg = make_config((2, 2), 1, RAD)
+    cfg = EnsembleConfig((2, 2), 1, RAD)
     u = UnitVector.basis(2)
     beta = compute_beta(cfg, u).beta
     batch = run_trials(cfg, u, 1000, seed=4)
@@ -243,7 +243,7 @@ def test_criterion_08_jacobian_equivalence(artifacts):
 
 
 def test_criterion_09_finite_difference_jacobian():
-    from matprod import Architecture, ReluNetConfig
+    from matprod import ReluNetConfig
 
     eps, margin = 1e-6, 1e-4
     rng = np.random.default_rng(5150)
@@ -251,7 +251,7 @@ def test_criterion_09_finite_difference_jacobian():
     while checked < 50:
         trial += 1
         widths = tuple(int(w) for w in rng.integers(2, 9, size=int(rng.integers(2, 5))))
-        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=GAUSS)
+        cfg = ReluNetConfig(widths, weight_law=GAUSS)
         weights, biases = sample_network(cfg, 515, trial)
         x = rng.standard_normal(widths[0])
         out, pres = forward(weights, biases, x)
@@ -273,7 +273,7 @@ def test_criterion_09_finite_difference_jacobian():
 
 
 def test_criterion_10_zero_event_statistics():
-    cfg = make_config((3, 3, 3, 3, 3), F(1, 2), GAUSS)
+    cfg = EnsembleConfig((3, 3, 3, 3, 3), F(1, 2), GAUSS)
     n = 100_000
     batch = run_trials(cfg, UnitVector.uniform(3), n, seed=1210)
     q = zero_event_probability(cfg).probability

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import matprod
+from matprod import EnsembleConfig, ReluNetConfig, UnitVector
 from matprod.cli import _fmt, _json_value, main, parse_config, parse_widths
 from matprod.errors import UsageError
-from matprod.montecarlo import resolve_threads
+from matprod.montecarlo import SAMPLER_BUDGET, product_draws, resolve_threads
+from matprod.relunets import jacobian_draws
 
 
 def read_csv(path):
@@ -147,6 +149,19 @@ class TestErrorContract:
         assert proc.stderr.startswith("matprod: error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_jacobian_compare_budgets_both_sides_together(self, gauss):
+        # each side alone is under the budget; the two together are not
+        widths = (1000,) * 40
+        jac = jacobian_draws(ReluNetConfig(widths, gauss), 256)
+        product = product_draws(EnsembleConfig(widths, Fraction(1, 2), gauss),
+                                UnitVector.uniform(1000), 256)
+        assert jac < SAMPLER_BUDGET and product < SAMPLER_BUDGET < jac + product
+        proc = run_cli(["jacobian-compare", "--widths", "1000x39", "--trials", "256"])
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "matprod: error: Jacobian comparison draws ~1.26e+10 entries, budget is 1e+10\n"
+        )
+
     @pytest.mark.parametrize(
         "args, config, message",
         [
@@ -161,10 +176,19 @@ class TestErrorContract:
             (["beta", "--widths", "2,2", "--u", "text.txt"], None, "--u"),
             (["beta", "--widths", "2,2", "--u", "huge.txt"], None, "--u"),
             (["beta", "--widths", "2,2", "--u", "sum.txt"], None, "--u file norm inf"),
+            (["ks-test", "--widths", "3,3", "--trials", "0"], None,
+             "KS statistic needs at least one sample"),
+            (["chi2-check", "--widths", "3,3", "--trials", "1"], None,
+             "summary needs at least two samples"),
+            (["ks-test", "--widths", "4,4", "--trials", "300", "--tolerance", "nan", "--assert"],
+             None, "--tolerance must be a finite number >= 0, got 'nan'"),
+            (["ks-test", "--widths", "4,4", "--trials", "300", "--tolerance", "-1", "--assert"],
+             None, "--tolerance must be a finite number >= 0, got '-1'"),
         ],
         ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
              "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow",
-             "u-file-sum-overflow"],
+             "u-file-sum-overflow", "ks-test-no-samples", "chi2-check-one-sample",
+             "tolerance-nan", "tolerance-negative"],
     )
     def test_bad_input_exits_2(self, tmp_path, args, config, message):
         (tmp_path / "text.txt").write_text("0.6 zebra\n")
@@ -193,6 +217,16 @@ class TestBetaCommand:
         assert float(rows[0]["beta"]) == pytest.approx(1.25)
         assert float(rows[0]["term_width"]) == pytest.approx(1.25)
         assert float(rows[0]["term_fourth"]) == 0.0
+
+
+class TestSimulateCommand:
+    def test_no_trials_measure_no_zero_event_rate(self, tmp_path):
+        out = tmp_path / "simulate.csv"
+        assert main(["simulate", "--widths", "3,3", "--trials", "0", "--output", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows[0]["trials"] == rows[0]["zero_events"] == "0"
+        assert rows[0]["zero_event_rate"] == rows[0]["mean"] == ""
+        assert rows[0]["reason"] == "fewer than two surviving samples"
 
 
 class TestMomentsCommand:
@@ -469,15 +503,15 @@ print(json.dumps(seen))
 
 # matprod.__all__ as it stood when every module loaded at import
 PUBLIC_NAMES = [
-    "Architecture", "AsymmetryError", "AtomicLawError", "BetaParams", "BudgetExceeded",
+    "AsymmetryError", "AtomicLawError", "BetaParams", "BudgetExceeded",
     "CollisionRegimeWarning", "DimensionMismatch", "DistributionSpec", "EmptyBatch",
     "EnsembleConfig", "ErrorBudget", "FloatRangeError", "InsufficientSamples",
-    "JacobianComparison", "KSReport", "MatprodError", "MomentEstimate", "NormalizationError",
+    "KSReport", "MatprodError", "MomentEstimate", "NormalizationError",
     "ReluNetConfig", "SampleBatch", "SummaryStats", "UnitVector", "UsageError",
     "ZeroEventEstimate", "brute_force_moment", "chi_square_product_sampler",
-    "compare_jacobian_vs_product", "compute_beta", "discrete_symmetric", "distributions",
+    "compute_beta", "discrete_symmetric", "distributions",
     "empirical_moment", "ensemble", "error_budget", "errors", "exact_moment",
-    "ks_to_gaussian", "ksstats", "law_from_name", "make_config", "montecarlo", "normal_cdf",
+    "ks_to_gaussian", "ksstats", "law_from_name", "montecarlo", "normal_cdf",
     "one_sample_critical_5pct", "one_sample_ks", "pathsum", "predict_layer_variance",
     "rademacher", "relunets", "run_trials", "standard_gaussian", "summary", "theory_moment",
     "two_sample_ks", "uniform_symmetric", "validate_distribution", "zero_event_probability",

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from matprod import (
-    Architecture,
     DimensionMismatch,
+    EnsembleConfig,
+    ReluNetConfig,
     UnitVector,
     compute_beta,
     error_budget,
-    make_config,
     predict_layer_variance,
     run_trials,
     zero_event_probability,
@@ -23,12 +23,22 @@ def stream(seed=0):
     return np.random.default_rng(seed)
 
 
-class TestArchitecture:
-    def test_rejects_bad_widths(self):
-        with pytest.raises(ValueError):
-            Architecture((4,))
-        with pytest.raises(ValueError):
-            Architecture((4, 0))
+class TestWidths:
+    @pytest.mark.parametrize(
+        "widths, message",
+        [((4,), "at least widths"), ((4, 0), "must be positive"), ((), "at least widths")],
+    )
+    def test_both_configs_reject_bad_widths(self, gauss, widths, message):
+        with pytest.raises(ValueError, match=message):
+            EnsembleConfig(widths, 1, gauss)
+        with pytest.raises(ValueError, match=message):
+            ReluNetConfig(widths, gauss)
+
+    def test_both_configs_hold_widths_as_an_int_tuple(self, gauss):
+        widths = [np.int64(4), 3.0, "5"]
+        assert EnsembleConfig(widths, F(1, 2), gauss).widths == (4, 3, 5)
+        assert ReluNetConfig(widths, gauss).widths == (4, 3, 5)
+        assert EnsembleConfig((4, 3), 0.5, gauss) == EnsembleConfig([4, 3], F(1, 2), gauss)
 
 
 class TestUnitVector:
@@ -74,7 +84,7 @@ class TestUnitVector:
         # (mu4 - 3) / (p n_1) ||u||_4^4 = -12/175 = -0.06857142857142857142...,
         # rounded once; the l4 norm summed from rounded coordinates gave ...589,
         # and the float product of the exact l4 norm ...561
-        params = compute_beta(make_config((7, 5), F(1, 2), unif), UnitVector.uniform(7))
+        params = compute_beta(EnsembleConfig((7, 5), F(1, 2), unif), UnitVector.uniform(7))
         assert format(params.term_fourth, ".17g") == "-0.068571428571428575"
         assert params.term_fourth == float(F(-12, 175))
         error = abs(F(params.term_fourth) - F(-12, 175))
@@ -83,20 +93,20 @@ class TestUnitVector:
 
 class TestComputeBeta:
     def test_gaussian_p1_reduces_to_width_sum(self, gauss):
-        cfg = make_config((5, 4, 8), 1, gauss)
+        cfg = EnsembleConfig((5, 4, 8), 1, gauss)
         params = compute_beta(cfg, UnitVector([0.6, 0.8, 0, 0, 0]))
         assert params.beta == pytest.approx(2 * (1 / 4 + 1 / 8))
         assert params.term_fourth == 0.0
 
     def test_rademacher_cancellation_gives_zero(self, rad):
-        cfg = make_config((2, 2), 1, rad)
+        cfg = EnsembleConfig((2, 2), 1, rad)
         params = compute_beta(cfg, UnitVector.basis(2))
         assert params.beta == pytest.approx(0.0)
         assert params.term_width == pytest.approx(1.0)
         assert params.term_fourth == pytest.approx(-1.0)
 
     def test_half_mask_gaussian_constant_width(self, gauss):
-        cfg = make_config((64,) + (64,) * 16, F(1, 2), gauss)
+        cfg = EnsembleConfig((64,) + (64,) * 16, F(1, 2), gauss)
         params = compute_beta(cfg, UnitVector.uniform(64))
         assert params.beta == pytest.approx(1.25)
 
@@ -112,12 +122,12 @@ class TestComputeBeta:
         ],
     )
     def test_half_mask_hand_values(self, widths, law_name, field, expected, request):
-        cfg = make_config(widths, F(1, 2), request.getfixturevalue(law_name))
+        cfg = EnsembleConfig(widths, F(1, 2), request.getfixturevalue(law_name))
         params = compute_beta(cfg, UnitVector.basis(widths[0]))
         assert getattr(params, field) == expected
 
     def test_dimension_mismatch(self, gauss):
-        cfg = make_config((3, 3), 1, gauss)
+        cfg = EnsembleConfig((3, 3), 1, gauss)
         with pytest.raises(DimensionMismatch):
             compute_beta(cfg, UnitVector.basis(4))
 
@@ -125,7 +135,7 @@ class TestComputeBeta:
 class TestPropagation:
     # the law of the propagated vector, sampled through the block engine
     def test_all_zero_mask_sets_dead_flag(self, gauss):
-        cfg = make_config((2, 2), F(1, 10**9), gauss)
+        cfg = EnsembleConfig((2, 2), F(1, 10**9), gauss)
         batch = run_trials(cfg, UnitVector.basis(2), 300, seed=0)
         assert batch.zero_event_count == 300
         assert batch.samples.size == 0
@@ -135,7 +145,7 @@ class TestPropagation:
         import scipy.stats
 
         n = 6
-        cfg = make_config((4, n), 1, gauss)
+        cfg = EnsembleConfig((4, n), 1, gauss)
         batch = run_trials(cfg, UnitVector.uniform(4), 20000, seed=3)
         stat = scipy.stats.kstest(n * np.exp(batch.samples), scipy.stats.chi2(df=n).cdf).statistic
         assert stat < 0.015
@@ -161,7 +171,8 @@ class TestPropagation:
             (rad, (3, 5, 3), F(1, 2), 7),
         ]:
             n = 10_000
-            batch = run_trials(make_config(widths, p, law), UnitVector.uniform(widths[0]), n, seed)
+            cfg = EnsembleConfig(widths, p, law)
+            batch = run_trials(cfg, UnitVector.uniform(widths[0]), n, seed)
             assert abs(np.exp(batch.samples).sum() / n - 1.0) <= 5 / math.sqrt(n)
 
 
@@ -200,29 +211,29 @@ class TestPredictLayerVariance:
 
 class TestZeroEvent:
     def test_p_one_never_fires(self, gauss):
-        est = zero_event_probability(make_config((3, 3, 3), 1, gauss))
+        est = zero_event_probability(EnsembleConfig((3, 3, 3), 1, gauss))
         assert est.probability == 0.0
         assert not est.lower_bound_only
 
     def test_single_layer(self, gauss):
-        est = zero_event_probability(make_config((5, 3), F(1, 2), gauss))
+        est = zero_event_probability(EnsembleConfig((5, 3), F(1, 2), gauss))
         assert est.probability == pytest.approx(1 / 8)
 
     def test_depth_four_by_direct_product(self, gauss):
         # direct evaluation of the product formula as the oracle
         per_layer = (1 - 0.5) ** 3
         expected = 1.0 - (1.0 - per_layer) ** 4
-        est = zero_event_probability(make_config((3, 3, 3, 3, 3), F(1, 2), gauss))
+        est = zero_event_probability(EnsembleConfig((3, 3, 3, 3, 3), F(1, 2), gauss))
         assert est.probability == pytest.approx(expected)
 
     def test_atom_bearing_law_flagged_lower_bound(self, rad):
-        est = zero_event_probability(make_config((3, 3), F(1, 2), rad))
+        est = zero_event_probability(EnsembleConfig((3, 3), F(1, 2), rad))
         assert est.lower_bound_only
 
 
 class TestErrorBudget:
     def test_constant_width_sum(self, gauss):
-        cfg = make_config((64,) + (64,) * 16, 1, gauss)
+        cfg = EnsembleConfig((64,) + (64,) * 16, 1, gauss)
         u = UnitVector.uniform(64)
         budget = error_budget(cfg, u)
         assert budget.sum_inv_sq_widths == pytest.approx(16 / 4096)
@@ -231,7 +242,7 @@ class TestErrorBudget:
         assert budget.linear_term == pytest.approx((16 / 4096) / 0.5)
 
     def test_beta_zero_flags_infinite_terms(self, rad):
-        cfg = make_config((2, 2), 1, rad)
+        cfg = EnsembleConfig((2, 2), 1, rad)
         budget = error_budget(cfg, UnitVector.basis(2))
         assert compute_beta(cfg, UnitVector.basis(2)).beta == pytest.approx(0.0)
         assert math.isinf(budget.linear_term)

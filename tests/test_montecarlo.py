@@ -9,6 +9,7 @@ import scipy.stats
 from matprod import (
     BudgetExceeded,
     EmptyBatch,
+    EnsembleConfig,
     InsufficientSamples,
     SampleBatch,
     UnitVector,
@@ -16,7 +17,6 @@ from matprod import (
     discrete_symmetric,
     empirical_moment,
     ks_to_gaussian,
-    make_config,
     rademacher,
     run_trials,
     two_sample_ks,
@@ -90,20 +90,22 @@ def manual_batch(samples, zero_events=0, trials=None):
 
 class TestRunTrials:
     def test_empty(self, gauss):
-        cfg = make_config((3, 3), 1, gauss)
+        cfg = EnsembleConfig((3, 3), 1, gauss)
         batch = run_trials(cfg, UnitVector.uniform(3), 0, seed=0)
         assert batch.trials == 0
         assert batch.samples.size == 0
         assert batch.zero_event_count == 0
+        # no trial ran, so no rate was measured
+        assert batch.zero_event_rate is None
 
     def test_deterministic_ensemble_all_zero_logs(self, rad):
-        cfg = make_config((4, 1), 1, rad)
+        cfg = EnsembleConfig((4, 1), 1, rad)
         batch = run_trials(cfg, UnitVector.basis(4), 100, seed=123)
         assert batch.samples.size == 100
         assert np.all(batch.samples == 0.0)
 
     def test_reproducible(self, gauss):
-        cfg = make_config((5, 6, 4), F(1, 2), gauss)
+        cfg = EnsembleConfig((5, 6, 4), F(1, 2), gauss)
         u = UnitVector.uniform(5)
         a = run_trials(cfg, u, 3000, seed=9)
         b = run_trials(cfg, u, 3000, seed=9)
@@ -111,7 +113,7 @@ class TestRunTrials:
         assert a.zero_event_count == b.zero_event_count
 
     def test_thread_count_does_not_change_results(self, gauss):
-        cfg = make_config((6, 6, 6), F(1, 2), gauss)
+        cfg = EnsembleConfig((6, 6, 6), F(1, 2), gauss)
         u = UnitVector.uniform(6)
         serial = run_trials(cfg, u, 4000, seed=4, threads=1)
         threaded = run_trials(cfg, u, 4000, seed=4, threads=8)
@@ -119,7 +121,7 @@ class TestRunTrials:
         assert serial.zero_event_count == threaded.zero_event_count
 
     def test_merge_property(self, gauss):
-        cfg = make_config((4, 5, 4), F(3, 4), gauss)
+        cfg = EnsembleConfig((4, 5, 4), F(3, 4), gauss)
         u = UnitVector.uniform(4)
         full = run_trials(cfg, u, 5000, seed=21)
         head = run_trials(cfg, u, 1700, seed=21)
@@ -129,7 +131,7 @@ class TestRunTrials:
         assert head.zero_event_count + tail.zero_event_count == full.zero_event_count
 
     def test_zero_event_frequency_matches_formula(self, gauss):
-        cfg = make_config((3, 3, 3, 3, 3), F(1, 2), gauss)
+        cfg = EnsembleConfig((3, 3, 3, 3, 3), F(1, 2), gauss)
         n = 100_000
         batch = run_trials(cfg, UnitVector.uniform(3), n, seed=17)
         q = zero_event_probability(cfg).probability
@@ -164,7 +166,7 @@ class TestRunTrials:
                 layers.append((mask, w))
                 live_cols = mask
             self.check_direct_product(
-                make_config(widths, p, law), u, seed, c, layers, has_zero_events
+                EnsembleConfig(widths, p, law), u, seed, c, layers, has_zero_events
             )
 
     def test_block_replay_all_live_keeps_shaped_draw(self, gauss):
@@ -178,7 +180,7 @@ class TestRunTrials:
         for m, n in zip(widths, widths[1:]):
             mask = rng.random((CHUNK, n)) < 1.0
             layers.append((mask, gauss.sample(rng, (CHUNK, n, m))))
-        self.check_direct_product(make_config(widths, 1, gauss), u, seed, c, layers, False)
+        self.check_direct_product(EnsembleConfig(widths, 1, gauss), u, seed, c, layers, False)
 
     @staticmethod
     def check_direct_product(cfg, u, seed, c, layers, has_zero_events):
@@ -191,7 +193,7 @@ class TestRunTrials:
         vec = np.broadcast_to(u.coords, (CHUNK, u.dim))
         for mask, w in layers:
             n = mask.shape[1]
-            vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(cfg.p_float * n)
+            vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(float(cfg.p) * n)
         zero_events = 0
         for t in range(CHUNK):
             batch = run_trials(cfg, u, 1, seed, trial_offset=c * CHUNK + t)
@@ -282,7 +284,7 @@ class TestRunTrials:
 
         monkeypatch.setattr(DistributionSpec, "sample", recording_sample)
         monkeypatch.setattr(np, "matmul", recording_matmul)
-        run_trials(make_config(widths, p, gauss), u, 1, seed, trial_offset=c * CHUNK, threads=1)
+        run_trials(EnsembleConfig(widths, p, gauss), u, 1, seed, trial_offset=c * CHUNK, threads=1)
         draws, shapes = events[0::2], events[1::2]
         assert len(draws) == len(shapes) and all(isinstance(s, tuple) for s in shapes)
         dead_seen = False
@@ -312,7 +314,7 @@ class TestRunTrials:
             ((5, 4, 6, 3), 1, "uniform", "generic"),
             ((7, 5, 5, 6), F(2, 3), "rademacher", "e1"),
         ]:
-            cfg = make_config(widths, p, law_from_name(law_name))
+            cfg = EnsembleConfig(widths, p, law_from_name(law_name))
             u = replay_input(u_name, widths[0])
             reference = run_trials(cfg, u, 700, seed=12, threads=1)
             for budget in (1, 37, 1000):
@@ -336,7 +338,7 @@ class TestRunTrials:
         # a log near -75.  The exact zero probability comes from a DP over the
         # integer vectors X_i ... X_1 x0, x0 = (1, ..., 1)
         trials = 100_000
-        batch = run_trials(make_config(widths, p, law), UnitVector.uniform(widths[0]), trials, 1)
+        batch = run_trials(EnsembleConfig(widths, p, law), UnitVector.uniform(widths[0]), trials, 1)
         assert not np.any(batch.samples < -20.0)
         q = atomic_zero_probability(widths, p, law)
         tolerance = 4 * math.sqrt(q * (1 - q) / trials)
@@ -369,7 +371,7 @@ class TestEmpiricalMoment:
             empirical_moment(manual_batch([0.0]), 1)
 
     def test_first_moment_near_one(self, gauss):
-        cfg = make_config((8, 8, 8), F(1, 2), gauss)
+        cfg = EnsembleConfig((8, 8, 8), F(1, 2), gauss)
         batch = run_trials(cfg, UnitVector.uniform(8), 20_000, seed=2)
         estimate = empirical_moment(batch, 1)
         assert abs(estimate.estimate - 1.0) <= 5 * estimate.stderr
@@ -381,7 +383,7 @@ class TestKsToGaussian:
         assert ks_to_gaussian(batch, -1.0, 4.0) == pytest.approx(0.5)
 
     def test_affine_invariance(self, gauss):
-        cfg = make_config((16, 16, 16), 1, gauss)
+        cfg = EnsembleConfig((16, 16, 16), 1, gauss)
         batch = run_trials(cfg, UnitVector.uniform(16), 2000, seed=8)
         direct = ks_to_gaussian(batch, -0.1, 0.25)
         standardized = manual_batch((batch.samples + 0.1) / 0.5)
@@ -422,7 +424,7 @@ class TestChiSquareSampler:
         assert report.statistic < 2 * report.critical_5pct
 
     def test_matches_product_law_for_gaussian_identity_mask(self, gauss):
-        cfg = make_config((16, 16, 16, 16), 1, gauss)
+        cfg = EnsembleConfig((16, 16, 16, 16), 1, gauss)
         product = run_trials(cfg, UnitVector.uniform(16), 30_000, seed=5)
         reference = chi_square_product_sampler((16, 16, 16), 30_000, seed=6)
         report = two_sample_ks(product.samples, reference.samples)
@@ -459,7 +461,7 @@ class TestSamplerGuard:
     def test_acceptance_chi2_artifact_is_admitted(self, gauss):
         # chi2-check --widths 64x16 --p 1 --trials 100000: 391 blocks of
         # 256 trials, 16 layers of 64 x 64 live entries
-        cfg = make_config((64,) * 17, 1, gauss)
+        cfg = EnsembleConfig((64,) * 17, 1, gauss)
         draws = montecarlo.product_draws(cfg, UnitVector.uniform(64), 100_000)
         assert draws == 391 * 256 * 16 * 64 * 64
         assert draws <= montecarlo.SAMPLER_BUDGET
@@ -467,7 +469,7 @@ class TestSamplerGuard:
     def test_minutes_of_sampling_refused_up_front(self, gauss):
         # moments --widths 1000x120 --trials 2: one block, 120 layers of
         # 1000 x 1000 entries, about 13 minutes of drawing at 25 ns each
-        cfg = make_config((1000,) * 121, 1, gauss)
+        cfg = EnsembleConfig((1000,) * 121, 1, gauss)
         u = UnitVector.uniform(1000)
         assert montecarlo.product_draws(cfg, u, 2) == 256 * 120 * 1000**2
         with pytest.raises(BudgetExceeded, match=r"^product sampler draws ~3.07e\+10"):
@@ -476,7 +478,7 @@ class TestSamplerGuard:
     def test_estimate_counts_live_entries(self, gauss):
         # p n_i live rows per layer; the first layer's columns are u's
         # nonzero coordinates, and a window straddling a block edge runs both
-        cfg = make_config((6, 4, 8), F(1, 2), gauss)
+        cfg = EnsembleConfig((6, 4, 8), F(1, 2), gauss)
         e1, uniform = UnitVector.basis(6), UnitVector.uniform(6)
         assert montecarlo.product_draws(cfg, e1, 10) == 256 * (1 * 2 + 2 * 4)
         assert montecarlo.product_draws(cfg, uniform, 10) == 256 * (6 * 2 + 2 * 4)

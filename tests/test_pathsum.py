@@ -9,13 +9,13 @@ import pytest
 
 from matprod import (
     BudgetExceeded,
+    EnsembleConfig,
     FloatRangeError,
     UnitVector,
     brute_force_moment,
     compute_beta,
     discrete_symmetric,
     exact_moment,
-    make_config,
     theory_moment,
 )
 from matprod.pathsum import (
@@ -147,28 +147,28 @@ class TestExactMoment:
             (gauss, (3, 2), F(1, 2)),
             (rad, (2, 2, 2), F(1, 2)),
         ]:
-            cfg = make_config(widths, p, law)
+            cfg = EnsembleConfig(widths, p, law)
             for u in (UnitVector.basis(widths[0]), UnitVector.uniform(widths[0])):
                 assert exact_moment(cfg, u, 1) == 1
 
     def test_chi_square_values(self, gauss):
-        assert exact_moment(make_config((2, 2), 1, gauss), UnitVector.basis(2), 2) == 2
-        assert exact_moment(make_config((2, 2, 2), 1, gauss), UnitVector.basis(2), 2) == 4
+        assert exact_moment(EnsembleConfig((2, 2), 1, gauss), UnitVector.basis(2), 2) == 2
+        assert exact_moment(EnsembleConfig((2, 2, 2), 1, gauss), UnitVector.basis(2), 2) == 4
 
     def test_chi_square_closed_form_any_width(self, gauss):
         # p=1 Gaussian second moment is exactly prod (n_i + 2)/n_i
         for widths in [(4, 5, 3, 7), (2, 9), (6, 6, 6, 6, 6)]:
-            cfg = make_config(widths, 1, gauss)
+            cfg = EnsembleConfig(widths, 1, gauss)
             expected = math.prod(F(n + 2, n) for n in widths[1:])
             assert exact_moment(cfg, UnitVector.uniform(widths[0]), 2) == expected
             assert exact_moment(cfg, UnitVector.basis(widths[0]), 2) == expected
 
     def test_rademacher_uniform_pair(self, rad):
-        cfg = make_config((2, 2), 1, rad)
+        cfg = EnsembleConfig((2, 2), 1, rad)
         assert exact_moment(cfg, UnitVector.uniform(2), 2) == F(3, 2)
 
     def test_deterministic_rademacher_all_orders(self, rad):
-        cfg = make_config((2, 2), 1, rad)
+        cfg = EnsembleConfig((2, 2), 1, rad)
         for k in range(1, 5):
             assert exact_moment(cfg, UnitVector.basis(2), k) == 1
 
@@ -188,7 +188,7 @@ class TestExactMoment:
                 UnitVector.uniform(n0),
                 unit_from_squares([F(2 * i + 1, n0 * n0) for i in range(n0)]),
             ][int(rng.integers(0, 3))]
-            cfg = make_config(widths, p, law)
+            cfg = EnsembleConfig(widths, p, law)
             exact = exact_moment(cfg, u, k)
             brute = brute_force_moment(cfg, u, k)
             assert isinstance(exact, F) and isinstance(brute, F)
@@ -196,7 +196,7 @@ class TestExactMoment:
 
     def test_gaussian_closed_form(self, gauss):
         for widths in [(8,) * 6, (8, 3, 5, 8, 2)]:
-            cfg = make_config(widths, F(1, 2), gauss)
+            cfg = EnsembleConfig(widths, F(1, 2), gauss)
             for k in range(1, 7):
                 got = exact_moment(cfg, UnitVector.basis(widths[0]), k)
                 assert got == gaussian_moment(widths, F(1, 2), k), (widths, k)
@@ -217,19 +217,19 @@ class TestExactMoment:
         coords = np.random.default_rng(20181214).standard_normal(1000)
         u = UnitVector(coords / np.sqrt(coords @ coords))
         widths = (1000,) * 121
-        value = exact_moment(make_config(widths, F(1, 2), gauss), u, 4)
+        value = exact_moment(EnsembleConfig(widths, F(1, 2), gauss), u, 4)
         assert value == gaussian_moment(widths, F(1, 2), 4) * squared_norm(u) ** 4
 
     def test_float_coordinates_beyond_double_range(self, gauss):
         # E[Z^6] here is near 1e420, outside double precision
-        cfg = make_config((2,) * 101, F(1, 2), gauss)
+        cfg = EnsembleConfig((2,) * 101, F(1, 2), gauss)
         u = UnitVector([0.6, 0.8])
         value = exact_moment(cfg, u, 6)
         assert isinstance(value, F) and value > 10**400
         assert value == gaussian_moment(cfg.widths, F(1, 2), 6) * squared_norm(u) ** 6
 
     def test_float_coordinates_are_exact(self, gauss):
-        cfg = make_config((2, 2), 1, gauss)
+        cfg = EnsembleConfig((2, 2), 1, gauss)
         u = UnitVector([0.6, 0.8])
         value = exact_moment(cfg, u, 2)
         assert isinstance(value, F)
@@ -238,7 +238,7 @@ class TestExactMoment:
 
     def test_paper_scale_gaussian(self, gauss):
         widths = (1024,) * 1025
-        value = exact_moment(make_config(widths, F(1, 2), gauss), UnitVector.basis(1024), 6)
+        value = exact_moment(EnsembleConfig(widths, F(1, 2), gauss), UnitVector.basis(1024), 6)
         assert value == gaussian_moment(widths, F(1, 2), 6)
 
     def test_budget_honored(self, gauss):
@@ -250,14 +250,14 @@ class TestExactMoment:
         # p = 1 transfer is integral), so it fits one word at layers 1-11 and
         # takes two at layers 12-20: 5000 + 4 * (11 + 2 * 9) = 5116.
         assert BUILD_STEP_UNITS == 1000
-        cfg = make_config((3,) * 21, 1, gauss)
+        cfg = EnsembleConfig((3,) * 21, 1, gauss)
         assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=5116) == F(5, 3) ** 20
         with pytest.raises(BudgetExceeded) as err:
             exact_moment(cfg, UnitVector.uniform(3), 2, budget=5115)
         assert err.value.estimate == 5116
 
     def test_k_cap(self, gauss):
-        cfg = make_config((3, 3), 1, gauss)
+        cfg = EnsembleConfig((3, 3), 1, gauss)
         with pytest.raises(BudgetExceeded, match=r"^moment order k=13 exceeds the cap 12$"):
             exact_moment(cfg, UnitVector.uniform(3), 13)
 
@@ -265,13 +265,13 @@ class TestExactMoment:
     @pytest.mark.parametrize("law_name", ["rad", "discrete"])
     def test_high_orders_match_assignment_enumeration(self, law_name, k, request):
         law = request.getfixturevalue(law_name)
-        cfg = make_config((2, 2, 2), F(1, 2), law)
+        cfg = EnsembleConfig((2, 2, 2), F(1, 2), law)
         u = UnitVector.uniform(2)
         assert exact_moment(cfg, u, k) == assignment_moment(cfg, u, k)
 
     def test_gaussian_closed_form_at_the_cap(self, gauss):
         widths = (2, 3, 2)
-        value = exact_moment(make_config(widths, F(1, 2), gauss), UnitVector.uniform(2), 12)
+        value = exact_moment(EnsembleConfig(widths, F(1, 2), gauss), UnitVector.uniform(2), 12)
         assert value == gaussian_moment(widths, F(1, 2), 12)
 
     def test_asymptotic_consistency_with_beta(self, gauss):
@@ -280,7 +280,7 @@ class TestExactMoment:
         d = 4
         for n in (8, 16, 32):
             widths = (n,) * (d + 1)
-            cfg = make_config(widths, 1, gauss)
+            cfg = EnsembleConfig(widths, 1, gauss)
             u = UnitVector.uniform(n)
             beta = compute_beta(cfg, u).beta
             exact = float(exact_moment(cfg, u, 2))
@@ -289,14 +289,14 @@ class TestExactMoment:
 
 class TestBruteForce:
     def test_matches_exact_on_named_examples(self, gauss, rad):
-        cfg = make_config((2, 2), 1, rad)
+        cfg = EnsembleConfig((2, 2), 1, rad)
         u = UnitVector.uniform(2)
         assert brute_force_moment(cfg, u, 2) == F(3, 2)
-        cfg2 = make_config((2, 2, 2), 1, gauss)
+        cfg2 = EnsembleConfig((2, 2, 2), 1, gauss)
         assert brute_force_moment(cfg2, UnitVector.basis(2), 2) == 4
 
     def test_first_moment_is_one(self, gauss):
-        cfg = make_config((3, 2, 2), F(1, 2), gauss)
+        cfg = EnsembleConfig((3, 2, 2), F(1, 2), gauss)
         assert brute_force_moment(cfg, UnitVector.uniform(3), 1) == 1
 
     def test_assignment_enumeration_agrees(self, rad):
@@ -308,7 +308,7 @@ class TestBruteForce:
             (rad, (2, 2, 2), F(1, 2)),
             (law4, (2, 2), 1),
         ]:
-            cfg = make_config(widths, p, law)
+            cfg = EnsembleConfig(widths, p, law)
             for u in (UnitVector.basis(widths[0]), UnitVector.uniform(widths[0])):
                 paths = brute_force_moment(cfg, u, 2)
                 assignments = assignment_moment(cfg, u, 2)
@@ -316,14 +316,14 @@ class TestBruteForce:
                 assert paths == assignments == exact
 
     def test_budget_honored(self, gauss):
-        cfg = make_config((8, 8, 8, 8), 1, gauss)
+        cfg = EnsembleConfig((8, 8, 8, 8), 1, gauss)
         with pytest.raises(BudgetExceeded):
             brute_force_moment(cfg, UnitVector.uniform(8), 2, budget=1000)
 
     def test_budget_counts_each_transfer_build(self, gauss):
         # one 64^4-entry transfer, built once at 2k per entry and contracted
         # at each of 5 layers: over the default budget, refused before any work
-        cfg = make_config((8,) * 6, F(1, 2), gauss)
+        cfg = EnsembleConfig((8,) * 6, F(1, 2), gauss)
         with pytest.raises(BudgetExceeded) as err:
             brute_force_moment(cfg, UnitVector.basis(8), 2)
         assert err.value.estimate == (4 + 5) * 64**4
@@ -331,7 +331,7 @@ class TestBruteForce:
     def test_paths_budget_is_its_own(self, gauss):
         # one 64^4-entry transfer (2k per entry to build, one layer to contract):
         # about 2 minutes of raw-path work, refused before any of it
-        cfg = make_config((8, 8), F(1, 2), gauss)
+        cfg = EnsembleConfig((8, 8), F(1, 2), gauss)
         u = UnitVector.basis(8)
         with pytest.raises(BudgetExceeded) as err:
             brute_force_moment(cfg, u, 2)
@@ -350,14 +350,14 @@ class TestBruteForce:
         ],
     )
     def test_paths_budget_admits_oracle_cases(self, widths, law_name, p, u_name, k, request):
-        cfg = make_config(widths, p, request.getfixturevalue(law_name))
+        cfg = EnsembleConfig(widths, p, request.getfixturevalue(law_name))
         u = UnitVector.basis(widths[0]) if u_name == "e1" else UnitVector.uniform(widths[0])
         assert brute_force_moment(cfg, u, k) == exact_moment(cfg, u, k)
 
     def test_float_coordinates_match_exact(self, rad):
         # a signed float u: odd-visit tuples drop out whatever the signs
         for widths, p in [((2, 3), 1), ((2, 2, 2), F(1, 2))]:
-            cfg = make_config(widths, p, rad)
+            cfg = EnsembleConfig(widths, p, rad)
             u = UnitVector([0.6, -0.8])
             value = brute_force_moment(cfg, u, 2)
             assert isinstance(value, F)
@@ -371,7 +371,7 @@ class TestPathEnsemble:
         # summing squared-input mass times the product of the layer factors
         # over every tuple sequence is the raw definition of the moment
         widths, p, k = (2, 3, 2), F(1, 2), 2
-        cfg = make_config(widths, p, rad)
+        cfg = EnsembleConfig(widths, p, rad)
         u = UnitVector.uniform(2)
         total = F(0)
         for seq in itertools.product(

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from matprod import (
-    Architecture,
     AtomicLawError,
     BudgetExceeded,
     DimensionMismatch,
+    EnsembleConfig,
     ReluNetConfig,
     UnitVector,
-    compare_jacobian_vs_product,
-    make_config,
     rademacher,
+    run_trials,
     two_sample_ks,
     zero_event_probability,
 )
@@ -28,7 +27,7 @@ from oracles import dense_jacobian, forward, sample_network
 
 
 def tiny_config(gauss, widths=(5, 6, 4, 3), bias_scale=1.0):
-    return ReluNetConfig(architecture=Architecture(widths), weight_law=gauss, bias_scale=bias_scale)
+    return ReluNetConfig(widths, weight_law=gauss, bias_scale=bias_scale)
 
 
 def inputs(cfg):
@@ -40,11 +39,11 @@ def inputs(cfg):
 class TestConfig:
     def test_rejects_atom_bearing_weight_law(self):
         with pytest.raises(AtomicLawError):
-            ReluNetConfig(architecture=Architecture((3, 3)), weight_law=rademacher())
+            ReluNetConfig((3, 3), weight_law=rademacher())
 
     def test_rejects_nonpositive_bias_scale(self, gauss):
         with pytest.raises(ValueError):
-            ReluNetConfig(architecture=Architecture((3, 3)), weight_law=gauss, bias_scale=0.0)
+            ReluNetConfig((3, 3), weight_law=gauss, bias_scale=0.0)
 
     def test_weight_scale_is_two_over_fan_in(self, gauss):
         cfg = tiny_config(gauss, widths=(50, 80))
@@ -79,7 +78,7 @@ class TestJacobian:
         while checked < 50:
             trial += 1
             widths = tuple(int(w) for w in rng.integers(2, 9, size=int(rng.integers(2, 5))))
-            cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss)
+            cfg = ReluNetConfig(widths, weight_law=gauss)
             weights, biases = sample_network(cfg, 1234, trial)
             x = rng.standard_normal(widths[0])
             out, pres = forward(weights, biases, x)
@@ -94,7 +93,7 @@ class TestJacobian:
 
     def test_open_fraction_is_half(self, gauss):
         widths = (4, 5, 5, 4)
-        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss)
+        cfg = ReluNetConfig(widths, weight_law=gauss)
         nets = 10_000
         x = default_input(4)
         opens = 0
@@ -142,10 +141,10 @@ class TestBlockEngine:
 
     def test_zero_event_rate(self, gauss):
         widths = (3, 3, 3, 3, 3)
-        cfg = ReluNetConfig(architecture=Architecture(widths), weight_law=gauss)
+        cfg = ReluNetConfig(widths, weight_law=gauss)
         n = 20_000
         batch = jacobian_batch(cfg, n, 1210, *inputs(cfg))
-        q = zero_event_probability(make_config(widths, F(1, 2), gauss)).probability
+        q = zero_event_probability(EnsembleConfig(widths, F(1, 2), gauss)).probability
         assert abs(batch.zero_event_rate - q) <= 4 * math.sqrt(q * (1 - q) / n)
 
     def test_input_checks(self, gauss):
@@ -159,28 +158,33 @@ class TestBlockEngine:
             jacobian_batch(cfg, 10, 0, np.ones(4), u)
 
 
+def ks_vs_product(net, product_p, trials, seed):
+    """jacobian-compare's two-sample KS report: the Jacobian batch against
+    the product batch with the same widths, law and seed at ``product_p``."""
+    x, u = inputs(net)
+    jac = jacobian_batch(net, trials, seed, x, u)
+    product = run_trials(EnsembleConfig(net.widths, product_p, net.weight_law), u, trials, seed)
+    return two_sample_ks(jac.samples, product.samples)
+
+
 class TestComparison:
     def test_self_comparison_is_exactly_zero(self, gauss):
-        from matprod import make_config, run_trials
-
-        cfg = make_config((8, 16, 16, 16), F(1, 2), gauss)
+        cfg = EnsembleConfig((8, 16, 16, 16), F(1, 2), gauss)
         u = UnitVector.uniform(8)
         a = run_trials(cfg, u, 2000, seed=31)
         b = run_trials(cfg, u, 2000, seed=31)
         assert two_sample_ks(a.samples, b.samples).statistic == 0.0
 
     def test_matches_product_law(self, gauss):
-        cfg = ReluNetConfig(architecture=Architecture((8, 16, 16, 16)), weight_law=gauss)
-        comparison = compare_jacobian_vs_product(cfg, 5000, 13, *inputs(cfg))
-        assert comparison.ks.statistic <= comparison.ks.critical_5pct * 1.5
+        report = ks_vs_product(ReluNetConfig((8, 16, 16, 16), gauss), F(1, 2), 5000, 13)
+        assert report.statistic <= report.critical_5pct * 1.5
 
     def test_negative_control_detected(self, gauss):
-        cfg = ReluNetConfig(architecture=Architecture((8, 16, 16, 16)), weight_law=gauss)
-        comparison = compare_jacobian_vs_product(cfg, 5000, 13, *inputs(cfg), product_p=F(9, 10))
-        assert comparison.ks.statistic > 0.05
+        report = ks_vs_product(ReluNetConfig((8, 16, 16, 16), gauss), F(9, 10), 5000, 13)
+        assert report.statistic > 0.05
 
     def test_input_choice_does_not_change_law(self, gauss):
-        cfg = ReluNetConfig(architecture=Architecture((8, 16, 16, 16)), weight_law=gauss)
+        cfg = ReluNetConfig((8, 16, 16, 16), weight_law=gauss)
         e1 = np.zeros(8)
         e1[0] = 1.0
         u = UnitVector.uniform(8)
@@ -188,11 +192,6 @@ class TestComparison:
         b = jacobian_batch(cfg, 20_000, 4, default_input(8), u)
         report = two_sample_ks(a.samples, b.samples)
         assert report.statistic <= 0.02
-
-    def test_trial_floor(self, gauss):
-        cfg = tiny_config(gauss)
-        with pytest.raises(ValueError):
-            compare_jacobian_vs_product(cfg, 10, 0, *inputs(cfg))
 
 
 class TestSamplerGuard:
@@ -207,5 +206,3 @@ class TestSamplerGuard:
         assert jacobian_draws(cfg, 200) == 256 * 120 * (1000**2 + 1000)
         with pytest.raises(BudgetExceeded, match=r"^Jacobian sampler draws"):
             jacobian_batch(cfg, 200, 0, *inputs(cfg))
-        with pytest.raises(BudgetExceeded, match=r"^Jacobian comparison draws"):
-            compare_jacobian_vs_product(cfg, 200, 0, *inputs(cfg))
