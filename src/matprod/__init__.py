@@ -37,11 +37,8 @@ from .ensemble import (
     EnsembleConfig,
     ErrorBudget,
     UnitVector,
-    ZeroEventEstimate,
     compute_beta,
     error_budget,
-    predict_layer_variance,
-    zero_event_probability,
 )
 from .errors import (
     AsymmetryError,

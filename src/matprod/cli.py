@@ -41,7 +41,7 @@ from .distributions import (
     discrete_symmetric,
     law_from_name,
 )
-from .ensemble import EnsembleConfig, UnitVector, compute_beta, error_budget
+from .ensemble import EnsembleConfig, UnitVector, compute_beta, error_budget, to_double
 from .errors import BudgetExceeded, FloatRangeError, MatprodError, UsageError
 from .pathsum import brute_force_moment, exact_moment, theory_moment
 
@@ -134,6 +134,12 @@ def parse_probability(text, flag: str = "--p") -> Fraction:
         raise UsageError(f"{flag} value {text!r} is not a number") from None
     if not 0 < value <= 1:
         raise UsageError(f"{flag} must be in (0, 1], got {text}")
+    # the samplers compare uniforms with float(p) and divide by p * n
+    if value < sys.float_info.min:
+        raise UsageError(
+            f"{flag} must be at least the smallest normal double "
+            f"{sys.float_info.min!r}, got {text}"
+        )
     return value
 
 
@@ -166,8 +172,9 @@ def _integer(flag: str, minimum: int):
 
 
 def _real(flag: str, positive: bool = False):
-    """Converter to a float, > 0 if positive and otherwise finite and >= 0,
-    from flag text or a JSON number."""
+    """Converter to a finite float, > 0 if positive and otherwise >= 0, from
+    flag text or a JSON number."""
+    bound = "> 0" if positive else ">= 0"
 
     def convert(value) -> float:
         if isinstance(value, (int, float, str)) and not isinstance(value, bool):
@@ -176,10 +183,8 @@ def _real(flag: str, positive: bool = False):
             except (ValueError, OverflowError):
                 pass
             else:
-                if positive and not x > 0.0:
-                    raise UsageError(f"{flag} must be positive, got {value!r}")
-                if not positive and not 0.0 <= x < math.inf:
-                    raise UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
+                if not ((x > 0.0 if positive else x >= 0.0) and x < math.inf):
+                    raise UsageError(f"{flag} must be a finite number {bound}, got {value!r}")
                 return x
         raise UsageError(f"{flag} must be a number, got {value!r}")
 
@@ -388,11 +393,7 @@ def _json_value(value) -> str:
 
 def _checked_double(value, k: int):
     """The k-th moment unchanged, or FloatRangeError if it has no finite double."""
-    try:
-        float(value)
-    except OverflowError:
-        exponent = math.floor(math.log10(abs(value.numerator)) - math.log10(value.denominator))
-        raise FloatRangeError(f"E[Z^{k}] ~ 1e{exponent} is outside double precision") from None
+    to_double(value, f"E[Z^{k}]")
     return value
 
 

@@ -3,9 +3,9 @@
 ``EnsembleConfig`` fixes the model: the layer widths (n_0, ..., n_d), the
 mask probability p and the entry law.  ``checked_widths`` is its widths
 check, which ``relunets.ReluNetConfig`` shares.  ``UnitVector`` is the fixed
-starting vector u.  The closed forms are the variance parameter beta, the
-one-layer variance, the zero-event probability and the raw error budget of
-the normal approximation.
+starting vector u.  The closed forms are the variance parameter beta
+(``compute_beta``) and the raw error budget of the normal approximation
+(``error_budget``).
 
 The model: a product of depth-many random matrices, each the composition of a
 diagonal Bernoulli(p) mask and an i.i.d. matrix with entries from a symmetric
@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .distributions import DistributionSpec
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, FloatRangeError
 
 _UNIT_NORM_TOL = 1e-12
 
@@ -40,6 +40,16 @@ def checked_widths(widths) -> tuple[int, ...]:
     if any(n < 1 for n in widths):
         raise ValueError(f"widths must be positive, got {widths}")
     return widths
+
+
+def to_double(value: Fraction, name: str) -> float:
+    """The nearest double to an exact rational, or FloatRangeError naming the
+    quantity if it is outside double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        exponent = math.floor(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        raise FloatRangeError(f"{name} ~ 1e{exponent} is outside double precision") from None
 
 
 @dataclass(frozen=True)
@@ -174,48 +184,11 @@ def compute_beta(config: EnsembleConfig, u: UnitVector) -> BetaParams:
     term_width = (3 / p - 1) * sum(Fraction(c, n) for n, c in counts.items())
     mu4 = config.entry_law.moment(4)
     term_fourth = (mu4 - 3) / (p * widths[1]) * u.l4_norm_4
-    return BetaParams(float(term_width + term_fourth), float(term_width), float(term_fourth))
-
-
-def predict_layer_variance(u_current, n_next: int, p: float, mu4: float) -> float:
-    """Variance of the one-layer normalized squared-norm ratio at a fixed input.
-
-    Matches the closed form (3/p - 1)/n + (mu4 - 3)/(p n) * ||u||_4^4/||u||_2^4.
-    """
-    values = u_current.values if isinstance(u_current, UnitVector) else u_current
-    squares = [float(c) ** 2 for c in values]
-    sq = math.fsum(squares)
-    if sq == 0.0:
-        raise ValueError("current vector must be nonzero")
-    quart = math.fsum(s * s for s in squares) / sq**2
-    p = float(p)
-    return (3.0 / p - 1.0) / n_next + (mu4 - 3.0) / (p * n_next) * quart
-
-
-@dataclass(frozen=True)
-class ZeroEventEstimate:
-    """Probability that some layer's output vanishes.
-
-    For atom-bearing entry laws exact cancellation can also kill the vector,
-    so the all-zero-mask computation is only a lower bound; ``lower_bound_only``
-    flags that case.
-    """
-
-    probability: float
-    lower_bound_only: bool
-
-
-def zero_event_probability(config: EnsembleConfig) -> ZeroEventEstimate:
-    """Probability of the zero event: 1 - prod_j(1 - (1-p)^{n_j}).
-
-    Each layer mask is all-zero with probability (1-p)^{n_j}; for atomless
-    entry laws this is the only way the propagated vector can vanish.
-    """
-    q = 1.0 - float(config.p)
-    surviving = 1.0
-    for n in config.widths[1:]:
-        surviving *= 1.0 - q**n
-    return ZeroEventEstimate(1.0 - surviving, lower_bound_only=not config.entry_law.atomless)
+    return BetaParams(
+        term_width=to_double(term_width, "term_width"),
+        term_fourth=to_double(term_fourth, "term_fourth"),
+        beta=to_double(term_width + term_fourth, "beta"),
+    )
 
 
 @dataclass(frozen=True)
@@ -243,7 +216,13 @@ def error_budget(config: EnsembleConfig, u: UnitVector) -> ErrorBudget:
         linear = fifth = root = math.inf
     else:
         linear = s / beta
-        fifth = (s / beta**2) ** 0.2
+        try:
+            fifth = (s / beta**2) ** 0.2
+        except OverflowError:
+            raise FloatRangeError(
+                f"ks_fifth_root_term needs beta**2 with beta = {beta:.6g}, "
+                "which is outside double precision"
+            ) from None
         root = math.sqrt(s / math.sqrt(beta))
     return ErrorBudget(
         sum_inv_sq_widths=s,

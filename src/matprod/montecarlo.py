@@ -25,9 +25,9 @@ generator per network with ``(seed, DOMAIN_NETS, trial index)``.  No block
 domain may reuse 3, or an oracle network would share a stream with a block.
 
 A trial's outcome is therefore a pure function of (seed, config, trial
-index) — independent of how many trials were requested, of the trial window,
-and of how blocks are scheduled across threads.  Results are reduced by
-sorting, so any thread count produces the same batch.
+index) — independent of how many trials were requested and of how blocks
+are scheduled across threads.  Results are reduced by sorting, so any
+thread count produces the same batch.
 
 How many numbers a block consumes is set by its mask counts alone, which
 come from the same stream, so consumption is still a pure function of (seed,
@@ -221,20 +221,18 @@ def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndar
     return u
 
 
-def block_count(trials: int, trial_offset: int = 0) -> int:
-    """Blocks of CHUNK trial indices that the trial window meets."""
-    if trials == 0:
-        return 0
-    return (trial_offset + trials - 1) // CHUNK - trial_offset // CHUNK + 1
+def block_count(trials: int) -> int:
+    """Blocks of CHUNK trial indices that trials 0 .. trials - 1 fill."""
+    return (trials + CHUNK - 1) // CHUNK
 
 
-def product_draws(config: EnsembleConfig, u: UnitVector, trials: int, trial_offset: int = 0) -> int:
+def product_draws(config: EnsembleConfig, u: UnitVector, trials: int) -> int:
     """Expected weight entries ``run_trials`` draws: blocks * CHUNK *
     sum_i (p n_i)(p n_{i-1}), the first layer's live units being u's nonzero
     coordinates."""
     live = [sum(1 for c in u.values if c)] + [config.p * n for n in config.widths[1:]]
     per_trial = sum(a * b for a, b in zip(live, live[1:]))
-    return math.ceil(block_count(trials, trial_offset) * CHUNK * per_trial)
+    return math.ceil(block_count(trials) * CHUNK * per_trial)
 
 
 def check_draws(estimate: int, what: str) -> None:
@@ -248,18 +246,12 @@ def check_draws(estimate: int, what: str) -> None:
         )
 
 
-def _collect_chunks(
-    trials: int,
-    trial_offset: int,
-    threads: int | None,
-    chunk_fn,
-):
-    """Run chunk_fn over every block intersecting the trial window."""
-    lo, hi = trial_offset, trial_offset + trials
+def _collect_chunks(trials: int, threads: int | None, chunk_fn):
+    """Run chunk_fn over the blocks of trials 0 .. trials - 1; returns the
+    sorted log norms of the live trials and the number of zero events."""
     if trials == 0:
         return np.empty(0), 0
-    first, last = lo // CHUNK, (hi - 1) // CHUNK
-    indices = range(first, last + 1)
+    indices = range(block_count(trials))
     workers = min(resolve_threads(threads), len(indices))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -269,11 +261,10 @@ def _collect_chunks(
     samples = []
     zero_events = 0
     for c, (logs, alive) in zip(indices, results):
-        start = max(lo - c * CHUNK, 0)
-        stop = min(hi - c * CHUNK, CHUNK)
-        window_alive = alive[start:stop]
-        samples.append(logs[start:stop][window_alive])
-        zero_events += int(np.size(window_alive) - np.count_nonzero(window_alive))
+        stop = min(trials - c * CHUNK, CHUNK)
+        kept = alive[:stop]
+        samples.append(logs[:stop][kept])
+        zero_events += int(np.size(kept) - np.count_nonzero(kept))
     merged = np.sort(np.concatenate(samples))
     return merged, zero_events
 
@@ -283,28 +274,27 @@ def run_trials(
     u: UnitVector,
     trials: int,
     seed: int,
-    trial_offset: int = 0,
     threads: int | None = None,
 ) -> SampleBatch:
     """Sample `trials` independent realizations of the log normalized norm.
 
-    Zero events are counted, not raised.  Identical (config, u, seed, trial
-    window) always produce the identical batch, for any thread count.  A
-    window that would draw more than ``SAMPLER_BUDGET`` entries raises
+    Zero events are counted, not raised.  Identical (config, u, seed,
+    trials) always produce the identical batch, for any thread count.  A
+    call that would draw more than ``SAMPLER_BUDGET`` entries raises
     ``BudgetExceeded`` before any block runs.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     if u.dim != config.widths[0]:
         raise ValueError(f"u has dim {u.dim}, architecture starts at {config.widths[0]}")
-    check_draws(product_draws(config, u, trials, trial_offset), "product sampler")
+    check_draws(product_draws(config, u, trials), "product sampler")
     u0 = u.coords
 
     def chunk_fn(index: int):
         rng = chunk_stream(seed, DOMAIN_PRODUCT, index)
         return _product_chunk(config, u0, rng)
 
-    samples, zero_events = _collect_chunks(trials, trial_offset, threads, chunk_fn)
+    samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
     return SampleBatch(samples, zero_events, trials)
 
 
@@ -366,5 +356,5 @@ def chi_square_product_sampler(
         rng = chunk_stream(seed, DOMAIN_CHI2, index)
         return _chi2_chunk(widths, rng)
 
-    samples, zero_events = _collect_chunks(trials, 0, threads, chunk_fn)
+    samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
     return SampleBatch(samples, zero_events, trials)

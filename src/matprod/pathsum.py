@@ -28,9 +28,11 @@ running denominator and build a single ``Fraction`` at the end.
     Never uses the k-tuple collapse: sums over 2k-tuples of raw paths layer
     by layer (the direct expansion of the 2k-th power of the norm).
 
-Both routes fail fast with ``BudgetExceeded`` when their documented cost
-model exceeds the evaluation budget: ``DEFAULT_BUDGET`` for the engine,
-``PATHS_BUDGET`` for the raw-path oracle, whose unit of work costs more.
+Both routes fail fast with ``BudgetExceeded`` when k exceeds
+``DEFAULT_K_CAP`` or their documented cost model exceeds the evaluation
+budget: ``DEFAULT_BUDGET`` for the engine, ``PATHS_BUDGET`` for the raw-path
+oracle, whose unit of work costs more.  They read these module constants at
+call time, so there is one setting of each for the whole package.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ BUILD_STEP_UNITS = 1000
 # A raw-path unit costs about 1.1-1.5 us (widths 3-5, k = 2-3), so this admits
 # about 15 s of brute-force path summation.
 PATHS_BUDGET = 10**7
+# Highest moment order either route computes; the engine's per-law sums are
+# built up to this order once.
 DEFAULT_K_CAP = 12
 
 
@@ -101,7 +105,7 @@ def _with_part(n: int, m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tau_sums(law: DistributionSpec, k_max: int):
+def _tau_sums(law: DistributionSpec):
     """Sums of the transfer over the next tuple's set partitions, by their shape.
 
     Between slot partitions sigma and tau the transfer is p^(#tau - k) times
@@ -118,12 +122,15 @@ def _tau_sums(law: DistributionSpec, k_max: int):
     other block's r_b, in C(a-1, t_a-1) * prod C(r_b, t_b) ways, and
     recurses on what is left.  Openings that leave the same remainders and
     open the same size are added up before their shapes are merged.  Nothing
-    depends on k or p, so one memo per law serves every k up to ``k_max``.
+    depends on k or p, so one memo per law serves every k up to
+    ``DEFAULT_K_CAP``.
     """
-    ratios = [law.moment(2 * j) / math.prod(range(1, 2 * j, 2)) for j in range(1, k_max + 1)]
+    ratios = [
+        law.moment(2 * j) / math.prod(range(1, 2 * j, 2)) for j in range(1, DEFAULT_K_CAP + 1)
+    ]
     unit = math.lcm(*(r.denominator for r in ratios))
     block = [0] + [int(r * unit**j) for j, r in enumerate(ratios, start=1)]
-    double = [math.prod(range(1, 2 * m, 2)) for m in range(k_max + 1)]
+    double = [math.prod(range(1, 2 * m, 2)) for m in range(DEFAULT_K_CAP + 1)]
     memo = {(): [1]}
 
     def sums(rest: tuple[int, ...]) -> list[int]:
@@ -184,7 +191,7 @@ def _shape_transfer(law: DistributionSpec, p: Fraction, k: int):
     """
     shapes = integer_partitions(k)
     orbit_sizes = tuple(map(_orbit_size, shapes))
-    sums, unit = _tau_sums(law, max(k, DEFAULT_K_CAP))
+    sums, unit = _tau_sums(law)
     rows = [
         [
             Fraction(n_mu * w, n_lam * unit**k) * p ** (len(lam) - k)
@@ -235,15 +242,17 @@ def _power_sums(scaled, k: int) -> list:
     return sums
 
 
-def _moment_preflight(config: EnsembleConfig, u: UnitVector, k: int, k_cap: int):
+def _moment_preflight(config: EnsembleConfig, u: UnitVector, k: int):
     if k < 1:
         raise ValueError("moment order k must be >= 1")
     if u.dim != config.widths[0]:
         raise DimensionMismatch(
             f"u has dim {u.dim}, architecture starts at {config.widths[0]}"
         )
-    if k > k_cap:
-        raise BudgetExceeded(k, k_cap, message=f"moment order k={k} exceeds the cap {k_cap}")
+    if k > DEFAULT_K_CAP:
+        raise BudgetExceeded(
+            k, DEFAULT_K_CAP, message=f"moment order k={k} exceeds the cap {DEFAULT_K_CAP}"
+        )
     if math.comb(k, 2) >= min(config.widths[1:]):
         warnings.warn(
             f"k={k} has comb(k,2)={math.comb(k, 2)} >= min width "
@@ -254,13 +263,7 @@ def _moment_preflight(config: EnsembleConfig, u: UnitVector, k: int, k_cap: int)
         )
 
 
-def exact_moment(
-    config: EnsembleConfig,
-    u: UnitVector,
-    k: int,
-    budget: int = DEFAULT_BUDGET,
-    k_cap: int = DEFAULT_K_CAP,
-) -> Fraction:
+def exact_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
     """k-th moment of the normalized squared norm of the product applied to u.
 
     Always an exact Fraction: the entry-law moments, the mask probability and
@@ -274,20 +277,21 @@ def exact_moment(
     counted by the 64-bit words of the state.  The state starts at k *
     bit_length(L) bits, L the common denominator of u's squares, and gains
     bit_length(D) + k * bit_length(n) bits at a layer of width n, D the
-    common denominator of the transfer.
+    common denominator of the transfer.  A cost over ``DEFAULT_BUDGET``, or
+    k over ``DEFAULT_K_CAP``, raises ``BudgetExceeded`` before any of it runs.
     """
-    _moment_preflight(config, u, k, k_cap)
+    _moment_preflight(config, u, k)
     n_shapes = len(integer_partitions(k))
     cost = BUILD_STEP_UNITS * _build_steps(k)
-    if cost > budget:
-        raise BudgetExceeded(cost, budget, what="shape transfer")
+    if cost > DEFAULT_BUDGET:
+        raise BudgetExceeded(cost, DEFAULT_BUDGET, what="shape transfer")
     *_, scale = _shape_transfer(config.entry_law, config.p, k)
     bits = k * u.scaled_squares[1].bit_length()
     for n in config.widths[1:]:
         bits += scale.bit_length() + k * n.bit_length()
         cost += n_shapes**2 * (bits // 64 + 1)
-    if cost > budget:
-        raise BudgetExceeded(cost, budget, what="shape transfer")
+    if cost > DEFAULT_BUDGET:
+        raise BudgetExceeded(cost, DEFAULT_BUDGET, what="shape transfer")
     return _shape_moment(config, u, k)
 
 
@@ -385,26 +389,22 @@ def _bf_initial_masses(u: UnitVector, k: int) -> tuple[list[int], int]:
     return masses, common**k
 
 
-def brute_force_moment(
-    config: EnsembleConfig,
-    u: UnitVector,
-    k: int,
-    budget: int = PATHS_BUDGET,
-    k_cap: int = DEFAULT_K_CAP,
-) -> Fraction:
+def brute_force_moment(config: EnsembleConfig, u: UnitVector, k: int) -> Fraction:
     """k-th normalized moment without the k-tuple path collapse.
 
     A layerwise sum over raw 2k-tuples with entry-law moment weights and
     mask-probability powers, in integers.  Cost ~ 2k (n_{i-1} n_i)^{2k} to
     build the transfer of each distinct width pair (every entry loops over
-    the 2k edges), plus (n_{i-1} n_i)^{2k} per layer to contract it.
+    the 2k edges), plus (n_{i-1} n_i)^{2k} per layer to contract it.  A cost
+    over ``PATHS_BUDGET``, or k over ``DEFAULT_K_CAP``, raises
+    ``BudgetExceeded`` before any of it runs.
     """
-    _moment_preflight(config, u, k, k_cap)
+    _moment_preflight(config, u, k)
     pairs = list(zip(config.widths, config.widths[1:]))
     entries = {pair: (pair[0] * pair[1]) ** (2 * k) for pair in pairs}
     cost = 2 * k * sum(entries.values()) + sum(entries[pair] for pair in pairs)
-    if cost > budget:
-        raise BudgetExceeded(cost, budget, what="raw path summation")
+    if cost > PATHS_BUDGET:
+        raise BudgetExceeded(cost, PATHS_BUDGET, what="raw path summation")
     return _bf_paths_moment(config, u, k)
 
 

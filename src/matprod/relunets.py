@@ -2,8 +2,8 @@
 
 Weights at layer i are drawn from an atomless symmetric unit-variance law and
 scaled by sqrt(2 / fan-in); biases are drawn from the same law times a
-positive bias scale (there is no separate bias law).  The Jacobian of the
-network output with respect to its input is the product of the per-layer
+positive, finite bias scale (there is no separate bias law).  The Jacobian of
+the network output with respect to its input is the product of the per-layer
 matrices masked by the open-neuron pattern, and its squared norm applied to a
 fixed unit vector is distributed exactly like the masked matrix product
 ensemble at mask probability 1/2.  ``matprod jacobian-compare`` tests that
@@ -55,8 +55,8 @@ class ReluNetConfig:
         object.__setattr__(self, "widths", checked_widths(self.widths))
         if not self.weight_law.atomless:
             raise AtomicLawError("weight law must be atomless")
-        if self.bias_scale <= 0.0:
-            raise ValueError(f"bias scale must be positive, got {self.bias_scale}")
+        if not 0.0 < self.bias_scale < math.inf:
+            raise ValueError(f"bias scale must be positive and finite, got {self.bias_scale}")
 
 
 def default_input(dim: int) -> np.ndarray:
@@ -126,6 +126,6 @@ def jacobian_batch(
         rng = chunk_stream(seed, DOMAIN_NET_BLOCKS, index)
         return _jacobian_chunk(config, x, u0, rng)
 
-    samples, zero_events = _collect_chunks(trials, 0, threads, chunk_fn)
+    samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
     return SampleBatch(samples, zero_events, trials)
 

@@ -13,17 +13,21 @@ nonnegative unit vector from exact squared coordinates.  ``sample_network``,
 ``forward`` and ``dense_jacobian`` draw one ReLU network and differentiate
 it by the chain rule with dense matrices, with no renormalised vector
 propagation, so they share no code with ``relunets._jacobian_chunk``.
+``predict_layer_variance`` and ``zero_event_probability`` are closed forms
+for the one-layer variance and the all-zero-mask probability, the
+references the samplers' layer variances and zero-event rates are held to.
 """
 
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from matprod.ensemble import UnitVector
+from matprod.ensemble import EnsembleConfig, UnitVector
 from matprod.montecarlo import DOMAIN_NETS, chunk_stream
 from matprod.pathsum import integer_partitions
 
@@ -241,3 +245,44 @@ def dense_jacobian(weights, biases, x) -> np.ndarray:
     for w, pre in zip(weights, pres):
         jac = (w @ jac) * (pre > 0.0)[:, None]
     return jac
+
+
+def predict_layer_variance(u_current, n_next: int, p: float, mu4: float) -> float:
+    """Variance of the one-layer normalized squared-norm ratio at a fixed input.
+
+    Matches the closed form (3/p - 1)/n + (mu4 - 3)/(p n) * ||u||_4^4/||u||_2^4.
+    """
+    values = u_current.values if isinstance(u_current, UnitVector) else u_current
+    squares = [float(c) ** 2 for c in values]
+    sq = math.fsum(squares)
+    if sq == 0.0:
+        raise ValueError("current vector must be nonzero")
+    quart = math.fsum(s * s for s in squares) / sq**2
+    p = float(p)
+    return (3.0 / p - 1.0) / n_next + (mu4 - 3.0) / (p * n_next) * quart
+
+
+@dataclass(frozen=True)
+class ZeroEventEstimate:
+    """Probability that some layer's output vanishes.
+
+    For atom-bearing entry laws exact cancellation can also kill the vector,
+    so the all-zero-mask computation is only a lower bound; ``lower_bound_only``
+    flags that case.
+    """
+
+    probability: float
+    lower_bound_only: bool
+
+
+def zero_event_probability(config: EnsembleConfig) -> ZeroEventEstimate:
+    """Probability of the zero event: 1 - prod_j(1 - (1-p)^{n_j}).
+
+    Each layer mask is all-zero with probability (1-p)^{n_j}; for atomless
+    entry laws this is the only way the propagated vector can vanish.
+    """
+    q = 1.0 - float(config.p)
+    surviving = 1.0
+    for n in config.widths[1:]:
+        surviving *= 1.0 - q**n
+    return ZeroEventEstimate(1.0 - surviving, lower_bound_only=not config.entry_law.atomless)

@@ -22,11 +22,10 @@ from matprod import (
     rademacher,
     run_trials,
     standard_gaussian,
-    zero_event_probability,
 )
 from matprod.cli import main
 from matprod.montecarlo import empirical_moment
-from oracles import dense_jacobian, forward, sample_network
+from oracles import dense_jacobian, forward, sample_network, zero_event_probability
 
 GAUSS = standard_gaussian()
 RAD = rademacher()

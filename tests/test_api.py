@@ -1,5 +1,6 @@
-"""Every public function and class is used by the package itself, and every
-field of a public dataclass is read by it.
+"""Every public function and class is used by the package itself, every
+field of a public dataclass is read by it, and every defaulted parameter of
+a public function is passed by one of its calls.
 
 A name in ``matprod.__all__`` counts as used when some module under
 ``src/matprod`` other than ``__init__.py`` refers to it (as a name or an
@@ -10,6 +11,11 @@ A field of a public dataclass counts as read when such a module loads an
 attribute of that name.  Attribute names are not tied to their types, so a
 field that shares its name with another read attribute (``trials``, say)
 passes unread: the field test is a lower bound on what the package reads.
+
+A defaulted parameter counts as passed when some call under ``src/matprod``
+of a name or attribute spelled like its function gives it by keyword, or
+reaches its position with positional arguments; a ``*args`` or ``**kwargs``
+argument counts as passing every parameter it could reach.
 """
 
 import ast
@@ -18,16 +24,6 @@ import inspect
 from pathlib import Path
 
 import matprod
-
-# Public names that the package does not use yet, each with its reason: a
-# function nothing calls, or a dataclass whose fields nothing reads.
-ALLOWED_UNUSED = {
-    # the reference value of acceptance criterion 10; a CLI column is planned
-    "zero_event_probability",
-    "ZeroEventEstimate",
-    # the predicted column of the planned per-layer table (`simulate --per-layer`)
-    "predict_layer_variance",
-}
 
 PACKAGE = Path(matprod.__file__).parent
 
@@ -60,15 +56,40 @@ def public(predicate) -> set[str]:
     return {name for name in matprod.__all__ if predicate(getattr(matprod, name))}
 
 
+def passed_parameters(function) -> set[str]:
+    """Defaulted parameters of ``function`` that some package call passes."""
+    params = list(inspect.signature(function).parameters.values())
+    positional = [
+        p.name for p in params
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+    ]
+    passed: set[str] = set()
+    for tree in package_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name != function.__name__:
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed.update(positional)
+            else:
+                passed.update(positional[: len(node.args)])
+            for keyword in node.keywords:
+                if keyword.arg is None:
+                    passed.update(p.name for p in params)
+                else:
+                    passed.add(keyword.arg)
+    return passed
+
+
 def test_every_public_name_is_used_by_the_package():
     used: set[str] = set()
     for tree in package_trees():
         used |= references_outside_own_definition(tree)
     functions = public(lambda v: inspect.isfunction(v) or inspect.isclass(v))
-    allowed_functions = ALLOWED_UNUSED - public(dataclasses.is_dataclass)
-    assert ALLOWED_UNUSED <= functions
-    assert sorted(functions - used - allowed_functions) == []
-    assert sorted(allowed_functions & used) == []
+    assert sorted(functions - used) == []
 
 
 def test_every_public_dataclass_field_is_read_by_the_package():
@@ -83,6 +104,19 @@ def test_every_public_dataclass_field_is_read_by_the_package():
         fields = [f.name for f in dataclasses.fields(getattr(matprod, name)) if f.name not in read]
         if fields:
             unread[name] = fields
-    allowed = ALLOWED_UNUSED & public(dataclasses.is_dataclass)
-    assert {name: fields for name, fields in unread.items() if name not in allowed} == {}
-    assert sorted(allowed - set(unread)) == []
+    assert unread == {}
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    unpassed = []
+    defaulted = 0
+    for name in sorted(public(inspect.isfunction)):
+        function = getattr(matprod, name)
+        passed = passed_parameters(function)
+        for param in inspect.signature(function).parameters.values():
+            if param.default is not param.empty:
+                defaulted += 1
+                if param.name not in passed:
+                    unpassed.append(f"{name}.{param.name}")
+    assert defaulted > 0
+    assert unpassed == []

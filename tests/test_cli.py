@@ -138,10 +138,11 @@ class TestErrorContract:
         "flags, env",
         [
             (["--bias-scale", "-1"], {}),
+            (["--bias-scale", "inf"], {}),
             (["--trials", "50"], {}),
             ([], {"MATPROD_THREADS": "x"}),
         ],
-        ids=["negative-bias-scale", "too-few-trials", "bad-threads-env"],
+        ids=["negative-bias-scale", "bias-scale-inf", "too-few-trials", "bad-threads-env"],
     )
     def test_jacobian_compare_bad_input_exits_2(self, flags, env):
         proc = run_cli(["jacobian-compare", "--widths", "4,4", "--trials", "200", *flags], env)
@@ -184,11 +185,23 @@ class TestErrorContract:
              None, "--tolerance must be a finite number >= 0, got 'nan'"),
             (["ks-test", "--widths", "4,4", "--trials", "300", "--tolerance", "-1", "--assert"],
              None, "--tolerance must be a finite number >= 0, got '-1'"),
+            (["beta", "--widths", "4x3", "--p", "1e-160"], None,
+             "ks_fifth_root_term needs beta**2 with beta = 2.25e+160"),
+            (["beta", "--widths", "1x10", "--p", "3e-308"], None,
+             "term_width ~ 1e309 is outside double precision"),
+            (["simulate", "--widths", "1x10", "--p", "3e-308", "--trials", "4"], None,
+             "term_width ~ 1e309 is outside double precision"),
+            (["simulate", "--widths", "4x3", "--trials", "20", "--p", "1e-320"], None,
+             "--p must be at least the smallest normal double"),
+            (["jacobian-compare", "--widths", "4x3", "--trials", "200",
+              "--product-p", "1e-400"], None,
+             "--product-p must be at least the smallest normal double"),
         ],
         ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
              "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow",
              "u-file-sum-overflow", "ks-test-no-samples", "chi2-check-one-sample",
-             "tolerance-nan", "tolerance-negative"],
+             "tolerance-nan", "tolerance-negative", "beta-squared-overflow",
+             "beta-overflow", "simulate-beta-overflow", "p-subnormal", "product-p-subnormal"],
     )
     def test_bad_input_exits_2(self, tmp_path, args, config, message):
         (tmp_path / "text.txt").write_text("0.6 zebra\n")
@@ -501,20 +514,20 @@ seen["simulate"] = [code, "numpy" in sys.modules]
 print(json.dumps(seen))
 """
 
-# matprod.__all__ as it stood when every module loaded at import
+# matprod.__all__, the names that load on first access included
 PUBLIC_NAMES = [
     "AsymmetryError", "AtomicLawError", "BetaParams", "BudgetExceeded",
     "CollisionRegimeWarning", "DimensionMismatch", "DistributionSpec", "EmptyBatch",
     "EnsembleConfig", "ErrorBudget", "FloatRangeError", "InsufficientSamples",
     "KSReport", "MatprodError", "MomentEstimate", "NormalizationError",
     "ReluNetConfig", "SampleBatch", "SummaryStats", "UnitVector", "UsageError",
-    "ZeroEventEstimate", "brute_force_moment", "chi_square_product_sampler",
+    "brute_force_moment", "chi_square_product_sampler",
     "compute_beta", "discrete_symmetric", "distributions",
     "empirical_moment", "ensemble", "error_budget", "errors", "exact_moment",
     "ks_to_gaussian", "ksstats", "law_from_name", "montecarlo", "normal_cdf",
-    "one_sample_critical_5pct", "one_sample_ks", "pathsum", "predict_layer_variance",
+    "one_sample_critical_5pct", "one_sample_ks", "pathsum",
     "rademacher", "relunets", "run_trials", "standard_gaussian", "summary", "theory_moment",
-    "two_sample_ks", "uniform_symmetric", "validate_distribution", "zero_event_probability",
+    "two_sample_ks", "uniform_symmetric", "validate_distribution",
 ]
 
 

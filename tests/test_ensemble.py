@@ -7,16 +7,15 @@ import pytest
 from matprod import (
     DimensionMismatch,
     EnsembleConfig,
+    FloatRangeError,
     ReluNetConfig,
     UnitVector,
     compute_beta,
     error_budget,
-    predict_layer_variance,
     run_trials,
-    zero_event_probability,
 )
 from matprod.montecarlo import _renormalize
-from oracles import unit_from_squares
+from oracles import predict_layer_variance, unit_from_squares, zero_event_probability
 
 
 def stream(seed=0):
@@ -248,3 +247,14 @@ class TestErrorBudget:
         assert math.isinf(budget.linear_term)
         assert math.isinf(budget.fifth_root_term)
         assert math.isinf(budget.sqrt_term)
+
+    def test_terms_outside_double_range_name_their_quantity(self, gauss):
+        # beta = 2.25e160 is a double, beta**2 is not
+        cfg = EnsembleConfig((4, 4, 4, 4), F(1, 10**160), gauss)
+        assert compute_beta(cfg, UnitVector.uniform(4)).beta == pytest.approx(2.25e160)
+        with pytest.raises(FloatRangeError, match=r"^ks_fifth_root_term needs beta\*\*2"):
+            error_budget(cfg, UnitVector.uniform(4))
+        # (3/p - 1) * 10 at p = 3e-308 is about 1e309
+        cfg = EnsembleConfig((1,) * 11, F(3, 10**308), gauss)
+        with pytest.raises(FloatRangeError, match=r"^term_width ~ 1e309 is outside"):
+            compute_beta(cfg, UnitVector.basis(1))

@@ -1,5 +1,5 @@
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction as F
 
 import numpy as np
@@ -20,11 +20,11 @@ from matprod import (
     rademacher,
     run_trials,
     two_sample_ks,
-    zero_event_probability,
 )
 from matprod.distributions import DistributionSpec, law_from_name
 from matprod import montecarlo
-from matprod.montecarlo import CHUNK, DOMAIN_PRODUCT, chunk_stream
+from matprod.montecarlo import CHUNK, DOMAIN_PRODUCT, _product_chunk, chunk_stream
+from oracles import zero_event_probability
 
 
 def replay_input(name, dim):
@@ -121,14 +121,20 @@ class TestRunTrials:
         assert serial.zero_event_count == threaded.zero_event_count
 
     def test_merge_property(self, gauss):
+        # trial t's outcome depends on (seed, config, t) alone, so the first
+        # n trials of a longer run are exactly the run of n trials: its
+        # samples and zero events are among the longer run's.  At p = 3/4
+        # about one trial in 200 is a zero event, so the counts are tested too.
         cfg = EnsembleConfig((4, 5, 4), F(3, 4), gauss)
         u = UnitVector.uniform(4)
-        full = run_trials(cfg, u, 5000, seed=21)
-        head = run_trials(cfg, u, 1700, seed=21)
-        tail = run_trials(cfg, u, 3300, seed=21, trial_offset=1700)
-        merged = np.sort(np.concatenate([head.samples, tail.samples]))
-        assert np.array_equal(merged, full.samples)
-        assert head.zero_event_count + tail.zero_event_count == full.zero_event_count
+        sizes = (0, 1, 255, 256, 257, 1700, 5000)
+        runs = [run_trials(cfg, u, n, seed=21) for n in sizes]
+        for part, whole in zip(runs, runs[1:]):
+            left = Counter(whole.samples.tolist())
+            left.subtract(part.samples.tolist())
+            assert min(left.values()) >= 0, part.trials
+            assert part.zero_event_count <= whole.zero_event_count
+        assert 0 < runs[-2].zero_event_count < runs[-1].zero_event_count
 
     def test_zero_event_frequency_matches_formula(self, gauss):
         cfg = EnsembleConfig((3, 3, 3, 3, 3), F(1, 2), gauss)
@@ -185,26 +191,21 @@ class TestRunTrials:
     @staticmethod
     def check_direct_product(cfg, u, seed, c, layers, has_zero_events):
         """Multiply out each trial's masked product from the replayed
-        (mask, dense weights) layers; run alone through its trial window,
-        every trial must give the log of that norm, or a zero event when it
-        vanishes.  Rows of an atomic law can cancel exactly; the direct sum,
-        taken in another order, then leaves a residue of order 1e-33, so a
-        direct norm below 1e-20 counts as vanished."""
+        (mask, dense weights) layers; block c, run by the engine on its own
+        stream, must give every trial the log of that norm, or a zero event
+        when it vanishes.  Rows of an atomic law can cancel exactly; the
+        direct sum, taken in another order, then leaves a residue of order
+        1e-33, so a direct norm below 1e-20 counts as vanished."""
         vec = np.broadcast_to(u.coords, (CHUNK, u.dim))
         for mask, w in layers:
             n = mask.shape[1]
             vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(float(cfg.p) * n)
-        zero_events = 0
-        for t in range(CHUNK):
-            batch = run_trials(cfg, u, 1, seed, trial_offset=c * CHUNK + t)
-            direct = float(vec[t] @ vec[t])
-            if direct < 1e-20:
-                assert batch.zero_event_count == 1
-                zero_events += 1
-            else:
-                assert batch.zero_event_count == 0
-                assert batch.samples[0] == pytest.approx(math.log(direct), abs=1e-10)
-        assert (zero_events > 0) == has_zero_events
+        logs, alive = _product_chunk(cfg, u.coords, chunk_stream(seed, DOMAIN_PRODUCT, c))
+        direct = np.einsum("ci,ci->c", vec, vec)
+        vanished = direct < 1e-20
+        assert np.array_equal(alive, ~vanished)
+        assert logs[alive] == pytest.approx(np.log(direct[alive]), abs=1e-10)
+        assert bool(np.any(vanished)) == has_zero_events
 
     @pytest.mark.parametrize(
         "widths, p, u_name, seed, c",
@@ -284,7 +285,8 @@ class TestRunTrials:
 
         monkeypatch.setattr(DistributionSpec, "sample", recording_sample)
         monkeypatch.setattr(np, "matmul", recording_matmul)
-        run_trials(EnsembleConfig(widths, p, gauss), u, 1, seed, trial_offset=c * CHUNK, threads=1)
+        cfg = EnsembleConfig(widths, p, gauss)
+        _product_chunk(cfg, u.coords, chunk_stream(seed, DOMAIN_PRODUCT, c))
         draws, shapes = events[0::2], events[1::2]
         assert len(draws) == len(shapes) and all(isinstance(s, tuple) for s in shapes)
         dead_seen = False
@@ -477,10 +479,11 @@ class TestSamplerGuard:
 
     def test_estimate_counts_live_entries(self, gauss):
         # p n_i live rows per layer; the first layer's columns are u's
-        # nonzero coordinates, and a window straddling a block edge runs both
+        # nonzero coordinates, and one trial past a block edge runs a block
         cfg = EnsembleConfig((6, 4, 8), F(1, 2), gauss)
         e1, uniform = UnitVector.basis(6), UnitVector.uniform(6)
         assert montecarlo.product_draws(cfg, e1, 10) == 256 * (1 * 2 + 2 * 4)
         assert montecarlo.product_draws(cfg, uniform, 10) == 256 * (6 * 2 + 2 * 4)
-        assert montecarlo.product_draws(cfg, e1, 2, trial_offset=255) == 2 * 256 * 10
+        assert montecarlo.product_draws(cfg, e1, 256) == 256 * 10
+        assert montecarlo.product_draws(cfg, e1, 257) == 2 * 256 * 10
         assert montecarlo.product_draws(cfg, e1, 0) == 0

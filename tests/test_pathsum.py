@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 from collections import Counter
@@ -18,6 +17,7 @@ from matprod import (
     exact_moment,
     theory_moment,
 )
+from matprod import pathsum
 from matprod.pathsum import (
     BUILD_STEP_UNITS,
     DEFAULT_BUDGET,
@@ -241,7 +241,7 @@ class TestExactMoment:
         value = exact_moment(EnsembleConfig(widths, F(1, 2), gauss), UnitVector.basis(1024), 6)
         assert value == gaussian_moment(widths, F(1, 2), 6)
 
-    def test_budget_honored(self, gauss):
+    def test_budget_honored(self, gauss, monkeypatch):
         # A cold build at k = 2 opens 5 blocks ((1): 1, (2): 2, (1, 1): 2),
         # BUILD_STEP_UNITS = 1000 each.  Then p(2)^2 = 4 products per layer,
         # each counted in 64-bit words of the state.  The state starts at
@@ -251,10 +251,12 @@ class TestExactMoment:
         # takes two at layers 12-20: 5000 + 4 * (11 + 2 * 9) = 5116.
         assert BUILD_STEP_UNITS == 1000
         cfg = EnsembleConfig((3,) * 21, 1, gauss)
-        assert exact_moment(cfg, UnitVector.uniform(3), 2, budget=5116) == F(5, 3) ** 20
+        monkeypatch.setattr(pathsum, "DEFAULT_BUDGET", 5116)
+        assert exact_moment(cfg, UnitVector.uniform(3), 2) == F(5, 3) ** 20
+        monkeypatch.setattr(pathsum, "DEFAULT_BUDGET", 5115)
         with pytest.raises(BudgetExceeded) as err:
-            exact_moment(cfg, UnitVector.uniform(3), 2, budget=5115)
-        assert err.value.estimate == 5116
+            exact_moment(cfg, UnitVector.uniform(3), 2)
+        assert (err.value.estimate, err.value.budget) == (5116, 5115)
 
     def test_k_cap(self, gauss):
         cfg = EnsembleConfig((3, 3), 1, gauss)
@@ -315,10 +317,18 @@ class TestBruteForce:
                 exact = exact_moment(cfg, u, 2)
                 assert paths == assignments == exact
 
-    def test_budget_honored(self, gauss):
-        cfg = EnsembleConfig((8, 8, 8, 8), 1, gauss)
-        with pytest.raises(BudgetExceeded):
-            brute_force_moment(cfg, UnitVector.uniform(8), 2, budget=1000)
+    def test_budget_honored(self, gauss, monkeypatch):
+        # (3, 3) at k = 2: one 9^4-entry transfer, built at 2k per entry and
+        # contracted once, so 5 * 9^4 = 32805 units
+        cfg = EnsembleConfig((3, 3), 1, gauss)
+        monkeypatch.setattr(pathsum, "PATHS_BUDGET", 32805)
+        assert brute_force_moment(cfg, UnitVector.uniform(3), 2) == exact_moment(
+            cfg, UnitVector.uniform(3), 2
+        )
+        monkeypatch.setattr(pathsum, "PATHS_BUDGET", 32804)
+        with pytest.raises(BudgetExceeded) as err:
+            brute_force_moment(cfg, UnitVector.uniform(3), 2)
+        assert (err.value.estimate, err.value.budget) == (32805, 32804)
 
     def test_budget_counts_each_transfer_build(self, gauss):
         # one 64^4-entry transfer, built once at 2k per entry and contracted
@@ -337,7 +347,6 @@ class TestBruteForce:
             brute_force_moment(cfg, u, 2)
         assert err.value.estimate == 5 * 64**4
         assert err.value.budget == PATHS_BUDGET < DEFAULT_BUDGET
-        assert inspect.signature(exact_moment).parameters["budget"].default == DEFAULT_BUDGET
         assert exact_moment(cfg, u, 2) == F(13, 8)  # (8 * 3/2 + 56 * 1/4) / 16
 
     @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from matprod import (
     rademacher,
     run_trials,
     two_sample_ks,
-    zero_event_probability,
 )
 from matprod.montecarlo import CHUNK, DOMAIN_NET_BLOCKS, SAMPLER_BUDGET, chunk_stream
 from matprod.relunets import (
@@ -23,7 +22,7 @@ from matprod.relunets import (
     jacobian_batch,
     jacobian_draws,
 )
-from oracles import dense_jacobian, forward, sample_network
+from oracles import dense_jacobian, forward, sample_network, zero_event_probability
 
 
 def tiny_config(gauss, widths=(5, 6, 4, 3), bias_scale=1.0):
@@ -44,6 +43,11 @@ class TestConfig:
     def test_rejects_nonpositive_bias_scale(self, gauss):
         with pytest.raises(ValueError):
             ReluNetConfig((3, 3), weight_law=gauss, bias_scale=0.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_rejects_non_finite_bias_scale(self, gauss, scale):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ReluNetConfig((3, 3), weight_law=gauss, bias_scale=scale)
 
     def test_weight_scale_is_two_over_fan_in(self, gauss):
         cfg = tiny_config(gauss, widths=(50, 80))
