@@ -53,7 +53,6 @@ from .errors import (
     UsageError,
 )
 from .pathsum import (
-    CollisionRegimeWarning,
     brute_force_moment,
     exact_moment,
     theory_moment,

@@ -17,7 +17,10 @@ setting.
 
 Exit status: 0 when the run completes, 1 when an ``--assert`` check fails,
 2 on any error (a bad input or a refused request), with one
-``matprod: error:`` line on stderr.
+``matprod: error:`` line on stderr.  ``moments`` also prints one
+``matprod: warning:`` line for each k whose comb(k, 2) reaches the smallest
+layer width, where the log-normal prediction in its ``theory`` column is
+unreliable; the exact moments hold for every k.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import json
 import math
 import numbers
 import sys
-import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -49,16 +51,6 @@ from .pathsum import brute_force_moment, exact_moment, theory_moment
 # beta and moments --trials 0 start without them.
 if TYPE_CHECKING:
     import numpy as np
-
-_SUBCOMMANDS = (
-    "beta",
-    "simulate",
-    "moments",
-    "ks-test",
-    "chi2-check",
-    "jacobian-compare",
-)
-
 
 # ExperimentConfig fields that set where and how a run reports, not what it
 # computes; the fingerprint leaves them out.
@@ -315,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"matprod {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _RUNNERS:
         sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         sp.add_argument("--config", help="JSON file with flag defaults")
         for flag, (field, _, help_text) in _OPTIONS.items():
@@ -397,38 +389,23 @@ def _checked_double(value, k: int):
     return value
 
 
-def _write_rows(config: ExperimentConfig, columns, rows) -> str:
-    meta = f"fingerprint={config.fingerprint()} seed={config.seed} version={__version__}"
+def _write_rows(config: ExperimentConfig, rows) -> str:
+    """The run's provenance line, then its rows; the first row's keys name
+    the columns, in output order."""
+    meta = {"fingerprint": config.fingerprint(), "seed": config.seed, "version": __version__}
     if config.format == "csv":
         buf = io.StringIO()
-        buf.write(f"# {meta}\n")
+        buf.write("# " + " ".join(f"{key}={value}" for key, value in meta.items()) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
+            writer.writerow([_fmt(value) for value in row.values()])
         return buf.getvalue()
-    lines = [
-        json.dumps(
-            {
-                "fingerprint": config.fingerprint(),
-                "seed": config.seed,
-                "version": __version__,
-            },
-            sort_keys=True,
-        )
-    ]
+    lines = [json.dumps(meta)]
     for row in rows:
-        fields = (f"{json.dumps(c)}: {_json_value(row.get(c))}" for c in columns)
+        fields = (f"{json.dumps(key)}: {_json_value(value)}" for key, value in row.items())
         lines.append("{" + ", ".join(fields) + "}")
     return "\n".join(lines) + "\n"
-
-
-def _emit(config: ExperimentConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _ensemble(config: ExperimentConfig):
@@ -441,10 +418,6 @@ def _run_beta(config: ExperimentConfig):
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
     budget = error_budget(ens, u)
-    columns = [
-        "beta", "term_width", "term_fourth", "sum_inv_sq_widths",
-        "ks_linear_term", "ks_fifth_root_term", "ks_sqrt_term", "mask_term",
-    ]
     rows = [{
         "beta": params.beta,
         "term_width": params.term_width,
@@ -455,7 +428,7 @@ def _run_beta(config: ExperimentConfig):
         "ks_sqrt_term": budget.sqrt_term,
         "mask_term": budget.mask_term,
     }]
-    return columns, rows, True
+    return rows, True
 
 
 def _run_simulate(config: ExperimentConfig):
@@ -465,35 +438,26 @@ def _run_simulate(config: ExperimentConfig):
     ens, u = _ensemble(config)
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
     params = compute_beta(ens, u)
-    row = {
+    stats = summary(batch.samples) if batch.samples.size >= 2 else None
+    quantiles = stats.quantiles if stats else {}
+    rows = [{
         "trials": batch.trials,
         "zero_events": batch.zero_event_count,
         "zero_event_rate": batch.zero_event_rate,
+        "mean": stats.mean if stats else None,
+        "variance": stats.variance if stats else None,
+        "skewness": stats.skewness if stats else None,
+        "q05": quantiles.get(0.05),
+        "q25": quantiles.get(0.25),
+        "q50": quantiles.get(0.5),
+        "q75": quantiles.get(0.75),
+        "q95": quantiles.get(0.95),
         "beta": params.beta,
         "predicted_mean": params.predicted_mean,
         "predicted_variance": params.predicted_variance,
-    }
-    if batch.samples.size >= 2:
-        stats = summary(batch.samples)
-        row.update(
-            mean=stats.mean,
-            variance=stats.variance,
-            skewness=stats.skewness,
-            q05=stats.quantiles[0.05],
-            q25=stats.quantiles[0.25],
-            q50=stats.quantiles[0.5],
-            q75=stats.quantiles[0.75],
-            q95=stats.quantiles[0.95],
-            reason=None,
-        )
-    else:
-        row["reason"] = "fewer than two surviving samples"
-    columns = [
-        "trials", "zero_events", "zero_event_rate", "mean", "variance", "skewness",
-        "q05", "q25", "q50", "q75", "q95", "beta", "predicted_mean",
-        "predicted_variance", "reason",
-    ]
-    return columns, [row], True
+        "reason": None if stats else "fewer than two surviving samples",
+    }]
+    return rows, True
 
 
 def _run_moments(config: ExperimentConfig):
@@ -508,28 +472,27 @@ def _run_moments(config: ExperimentConfig):
             batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
         except BudgetExceeded as exc:
             mc_reason = f"monte_carlo: {exc}"
-    columns = [
-        "k", "exact", "brute_force", "monte_carlo", "mc_stderr", "theory",
-        "beta", "zero_event_rate", "reason",
-    ]
+    min_width = min(config.widths[1:])
     rows = []
     ok = True
     for k in config.k:
+        if math.comb(k, 2) >= min_width:
+            print(
+                f"matprod: warning: k={k} has comb(k,2)={math.comb(k, 2)} >= min width "
+                f"{min_width}; the log-normal moment prediction is unreliable here "
+                "(the exact value is still exact)",
+                file=sys.stderr,
+            )
         reasons = []
         exact = brute = theory = None
-        # both routes raise the same CollisionRegimeWarning; print each
-        # message once, as a matprod line without a source location
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                exact = _checked_double(exact_moment(ens, u, k), k)
-            except (BudgetExceeded, FloatRangeError) as exc:
-                reasons.append(f"exact: {exc}")
-            try:
-                brute = _checked_double(brute_force_moment(ens, u, k), k)
-            except (BudgetExceeded, FloatRangeError) as exc:
-                reasons.append(f"brute_force: {exc}")
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"matprod: warning: {message}", file=sys.stderr)
+        try:
+            exact = _checked_double(exact_moment(ens, u, k), k)
+        except (BudgetExceeded, FloatRangeError) as exc:
+            reasons.append(f"exact: {exc}")
+        try:
+            brute = _checked_double(brute_force_moment(ens, u, k), k)
+        except (BudgetExceeded, FloatRangeError) as exc:
+            reasons.append(f"brute_force: {exc}")
         try:
             theory = theory_moment(params.beta, k)
         except FloatRangeError as exc:
@@ -556,7 +519,7 @@ def _run_moments(config: ExperimentConfig):
         if exact is not None and estimate is not None and estimate.stderr > 0:
             if abs(estimate.estimate - float(exact)) > 5 * estimate.stderr:
                 ok = False
-    return columns, rows, ok
+    return rows, ok
 
 
 def _run_ks_test(config: ExperimentConfig):
@@ -569,10 +532,6 @@ def _run_ks_test(config: ExperimentConfig):
     stat = ks_to_gaussian(batch, params.predicted_mean, params.predicted_variance)
     critical = one_sample_critical_5pct(batch.samples.size)
     threshold = config.tolerance if config.tolerance is not None else critical
-    columns = [
-        "trials", "samples", "zero_events", "beta", "ref_mean", "ref_variance",
-        "ks_statistic", "critical_5pct", "threshold",
-    ]
     rows = [{
         "trials": batch.trials,
         "samples": batch.samples.size,
@@ -584,7 +543,7 @@ def _run_ks_test(config: ExperimentConfig):
         "critical_5pct": critical,
         "threshold": threshold,
     }]
-    return columns, rows, stat <= threshold
+    return rows, stat <= threshold
 
 
 def _run_chi2_check(config: ExperimentConfig):
@@ -603,11 +562,6 @@ def _run_chi2_check(config: ExperimentConfig):
     ks_normal = ks_to_gaussian(product, params.predicted_mean, params.predicted_variance)
     stats = summary(product.samples)
     threshold = config.tolerance if config.tolerance is not None else report.critical_5pct
-    columns = [
-        "trials", "zero_events", "two_sample_ks", "two_sample_critical",
-        "ks_vs_normal", "one_sample_critical", "mean", "variance", "skewness",
-        "beta", "threshold",
-    ]
     rows = [{
         "trials": config.trials,
         "zero_events": product.zero_event_count,
@@ -621,7 +575,7 @@ def _run_chi2_check(config: ExperimentConfig):
         "beta": params.beta,
         "threshold": threshold,
     }]
-    return columns, rows, report.statistic <= threshold
+    return rows, report.statistic <= threshold
 
 
 def _run_jacobian_compare(config: ExperimentConfig):
@@ -647,10 +601,6 @@ def _run_jacobian_compare(config: ExperimentConfig):
     product_batch = run_trials(product, u, config.trials, config.seed, threads=config.threads)
     report = two_sample_ks(jac_batch.samples, product_batch.samples)
     threshold = config.tolerance if config.tolerance is not None else report.critical_5pct
-    columns = [
-        "trials", "ks_statistic", "critical_5pct", "jacobian_zero_events",
-        "product_zero_events", "product_p", "threshold",
-    ]
     rows = [{
         "trials": config.trials,
         "ks_statistic": report.statistic,
@@ -660,7 +610,7 @@ def _run_jacobian_compare(config: ExperimentConfig):
         "product_p": float(config.product_p),
         "threshold": threshold,
     }]
-    return columns, rows, report.statistic <= threshold
+    return rows, report.statistic <= threshold
 
 
 _RUNNERS = {
@@ -675,8 +625,13 @@ _RUNNERS = {
 
 def run(config: ExperimentConfig) -> int:
     """Execute the experiment; returns the process exit status."""
-    columns, rows, ok = _RUNNERS[config.subcommand](config)
-    _emit(config, _write_rows(config, columns, rows))
+    rows, ok = _RUNNERS[config.subcommand](config)
+    text = _write_rows(config, rows)
+    if config.output:
+        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     if config.assert_checks and not ok:
         return 1
     return 0

@@ -41,8 +41,8 @@ joint draw, so slicing leaves the stream and the output bytes as they are,
 and a thread holds about one slice of weights at a time instead of a
 ``(CHUNK, n, n)`` block.
 
-The ``MATPROD_THREADS`` environment variable caps worker threads; the default
-is the number of CPUs the process may run on.
+The ``MATPROD_THREADS`` environment variable, an integer >= 1, caps worker
+threads; the default is the number of CPUs the process may run on.
 """
 
 from __future__ import annotations
@@ -83,6 +83,11 @@ CANCEL_SLACK = 4.0
 # one thread), so this admits about 4 minutes of sampling on one thread.
 # The 100,000-trial chi2-check at 64x16 draws about 6.6e9 entries.
 SAMPLER_BUDGET = 10**10
+# A narrow layer costs more than its entries: numpy's per-call overhead makes
+# one trial of a width-1 layer take about 0.3-0.4 us at depths 8-32 (one
+# thread), 12-15 entries at the cost above.  Each trial-layer is charged at
+# least this many.
+TRIAL_LAYER_FLOOR = 16
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -91,9 +96,12 @@ def resolve_threads(threads: int | None = None) -> int:
     env = os.environ.get("MATPROD_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
             raise UsageError(f"MATPROD_THREADS must be an integer, got {env!r}") from None
+        if n < 1:
+            raise UsageError(f"MATPROD_THREADS must be >= 1, got {n}")
+        return n
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -229,9 +237,9 @@ def block_count(trials: int) -> int:
 def product_draws(config: EnsembleConfig, u: UnitVector, trials: int) -> int:
     """Expected weight entries ``run_trials`` draws: blocks * CHUNK *
     sum_i (p n_i)(p n_{i-1}), the first layer's live units being u's nonzero
-    coordinates."""
+    coordinates, and each term at least ``TRIAL_LAYER_FLOOR``."""
     live = [sum(1 for c in u.values if c)] + [config.p * n for n in config.widths[1:]]
-    per_trial = sum(a * b for a, b in zip(live, live[1:]))
+    per_trial = sum(max(a * b, TRIAL_LAYER_FLOOR) for a, b in zip(live, live[1:]))
     return math.ceil(block_count(trials) * CHUNK * per_trial)
 
 

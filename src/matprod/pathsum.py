@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -62,12 +61,6 @@ PATHS_BUDGET = 10**7
 # Highest moment order either route computes; the engine's per-law sums are
 # built up to this order once.
 DEFAULT_K_CAP = 12
-
-
-class CollisionRegimeWarning(UserWarning):
-    """The requested k is outside the regime where the log-normal moment
-    prediction is accurate (k-choose-2 reaching the smallest layer width).
-    The exact computation itself remains valid for every k."""
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +245,6 @@ def _moment_preflight(config: EnsembleConfig, u: UnitVector, k: int):
     if k > DEFAULT_K_CAP:
         raise BudgetExceeded(
             k, DEFAULT_K_CAP, message=f"moment order k={k} exceeds the cap {DEFAULT_K_CAP}"
-        )
-    if math.comb(k, 2) >= min(config.widths[1:]):
-        warnings.warn(
-            f"k={k} has comb(k,2)={math.comb(k, 2)} >= min width "
-            f"{min(config.widths[1:])}; the log-normal moment "
-            "prediction is unreliable here (the exact value is still exact)",
-            CollisionRegimeWarning,
-            stacklevel=3,
         )
 
 

@@ -30,10 +30,11 @@ import numpy as np
 
 from .distributions import DistributionSpec
 from .ensemble import UnitVector, checked_widths
-from .errors import AtomicLawError, DimensionMismatch
+from .errors import AtomicLawError, DimensionMismatch, FloatRangeError
 from .montecarlo import (
     CHUNK,
     DOMAIN_NET_BLOCKS,
+    TRIAL_LAYER_FLOOR,
     SampleBatch,
     _collect_chunks,
     _renormalize,
@@ -64,11 +65,14 @@ def default_input(dim: int) -> np.ndarray:
     return np.full(dim, dim**-0.5)
 
 
+@np.errstate(over="raise", invalid="raise")
 def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.random.Generator):
     """Jacobian log-norms of one block of CHUNK networks; returns (logs, alive).
 
     Per layer the block draws its (CHUNK, n, m) weights, then its (CHUNK, n)
-    biases: one layer of every network at a time, weights before biases.
+    biases: one layer of every network at a time, weights before biases.  A
+    forward pass that leaves double range raises ``FloatingPointError``: an
+    infinite or NaN pre-activation would decide the masks.
     """
     widths = cfg.widths
     h = np.broadcast_to(x, (CHUNK, widths[0]))
@@ -89,9 +93,10 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
 
 def jacobian_draws(config: ReluNetConfig, trials: int) -> int:
     """Weight and bias entries ``jacobian_batch`` draws: blocks * CHUNK *
-    sum (n m + n) over the layers."""
+    sum (n m + n) over the layers, each term at least ``TRIAL_LAYER_FLOOR``."""
     widths = config.widths
-    return block_count(trials) * CHUNK * sum(n * m + n for m, n in zip(widths, widths[1:]))
+    per_trial = sum(max(n * m + n, TRIAL_LAYER_FLOOR) for m, n in zip(widths, widths[1:]))
+    return block_count(trials) * CHUNK * per_trial
 
 
 def jacobian_batch(
@@ -107,7 +112,8 @@ def jacobian_batch(
     Block c of CHUNK networks draws from ``chunk_stream(seed,
     DOMAIN_NET_BLOCKS, c)``; zero events are counted, and the batch is the
     same for any thread count.  A call that would draw more than
-    ``SAMPLER_BUDGET`` entries raises ``BudgetExceeded`` before any block runs.
+    ``SAMPLER_BUDGET`` entries raises ``BudgetExceeded`` before any block runs,
+    and one whose forward pass overflows a double raises ``FloatRangeError``.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -126,6 +132,11 @@ def jacobian_batch(
         rng = chunk_stream(seed, DOMAIN_NET_BLOCKS, index)
         return _jacobian_chunk(config, x, u0, rng)
 
-    samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
+    try:
+        samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
+    except FloatingPointError:
+        raise FloatRangeError(
+            f"the ReLU forward pass leaves double precision at bias scale {config.bias_scale:g}"
+        ) from None
     return SampleBatch(samples, zero_events, trials)
 

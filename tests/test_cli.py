@@ -105,7 +105,7 @@ class TestParsing:
         assert parse_config(base + ["--config", str(cfg_file)]) == parse_config(base + flags)
 
 
-def run_cli(args, env=None, cwd=None):
+def run_cli(args, env=None, cwd=None, timeout=None):
     src = str(Path(matprod.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "matprod.cli", *args],
@@ -113,6 +113,7 @@ def run_cli(args, env=None, cwd=None):
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": src, **(env or {})},
+        timeout=timeout,
     )
 
 
@@ -124,11 +125,14 @@ class TestErrorContract:
             ["ks-test", "--widths", "1000x120", "--trials", "2"],
             ["chi2-check", "--widths", "1000x120", "--trials", "2"],
             ["jacobian-compare", "--widths", "1000x120", "--trials", "200"],
+            # few entries, but hours of per-layer overhead
+            ["simulate", "--widths", "1,1", "--p", "1", "--trials", "9000000000",
+             "--threads", "1"],
         ],
-        ids=["simulate", "ks-test", "chi2-check", "jacobian-compare"],
+        ids=["simulate", "ks-test", "chi2-check", "jacobian-compare", "narrow-simulate"],
     )
     def test_sampler_refusal_exits_2(self, args):
-        proc = run_cli(args)
+        proc = run_cli(args, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("matprod: error: ")
         assert " entries, budget is 1e+10" in proc.stderr
@@ -141,13 +145,19 @@ class TestErrorContract:
             (["--bias-scale", "inf"], {}),
             (["--trials", "50"], {}),
             ([], {"MATPROD_THREADS": "x"}),
+            ([], {"MATPROD_THREADS": "0"}),
+            ([], {"MATPROD_THREADS": "-3"}),
+            # finite, but the forward pass overflows
+            (["--bias-scale", "1e308"], {}),
         ],
-        ids=["negative-bias-scale", "bias-scale-inf", "too-few-trials", "bad-threads-env"],
+        ids=["negative-bias-scale", "bias-scale-inf", "too-few-trials", "bad-threads-env",
+             "zero-threads-env", "negative-threads-env", "bias-scale-overflow"],
     )
     def test_jacobian_compare_bad_input_exits_2(self, flags, env):
         proc = run_cli(["jacobian-compare", "--widths", "4,4", "--trials", "200", *flags], env)
         assert proc.returncode == 2
         assert proc.stderr.startswith("matprod: error: ")
+        assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
     def test_jacobian_compare_budgets_both_sides_together(self, gauss):
@@ -242,6 +252,14 @@ class TestSimulateCommand:
         assert rows[0]["reason"] == "fewer than two surviving samples"
 
 
+# moments' stderr for k = 6 at min width 2: C(6,2) = 15 pairs of the six
+# paths can collide in each layer, so the log-normal prediction fails there
+K6_NOTICE = (
+    "matprod: warning: k=6 has comb(k,2)=15 >= min width 2; the log-normal moment "
+    "prediction is unreliable here (the exact value is still exact)\n"
+)
+
+
 class TestMomentsCommand:
     def test_rademacher_uniform_row(self, tmp_path):
         out = tmp_path / "moments.csv"
@@ -280,7 +298,7 @@ class TestMomentsCommand:
              "--k", "2,6", "--trials", "0", "--output", str(out)]
         )
         assert code == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == K6_NOTICE
         assert "inf" not in out.read_text() and "nan" not in out.read_text()
         _, rows = read_csv(out)
         assert rows[0]["exact"] == rows[0]["brute_force"] != ""
@@ -347,14 +365,12 @@ class TestMomentsCommand:
              "--trials", "0", "--output", str(out)]
         )
         assert code == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == K6_NOTICE
         _, rows = read_csv(out)
         assert rows[0]["exact"] == ""
         assert "exact: E[Z^6] ~ 1e422 is outside double precision" in rows[0]["reason"]
 
     def test_collision_regime_warning_is_one_matprod_line(self):
-        # outside pytest's filter the warning reaches stderr: once per k,
-        # although both exact routes raise it, and with no source location
         result = run_cli(
             ["moments", "--widths", "2x100", "--p", "0.5", "--u", "e1", "--k", "6",
              "--trials", "0"]
@@ -392,10 +408,14 @@ class TestMomentsCommand:
         assert [row["monte_carlo"] + row["mc_stderr"] for row in rows] == ["", ""]
         assert [row["reason"] for row in rows] == ["monte_carlo: needs at least 2 trials"] * 2
 
-    def test_k_cap_reported_in_reason(self, tmp_path):
+    def test_k_cap_reported_in_reason(self, tmp_path, capsys):
         out = tmp_path / "moments.csv"
         assert main(["moments", "--widths", "3,3", "--k", "13", "--trials", "0",
                      "--output", str(out)]) == 0
+        # the notice is about the prediction, which the cap does not refuse
+        assert capsys.readouterr().err.startswith(
+            "matprod: warning: k=13 has comb(k,2)=78 >= min width 3; "
+        )
         _, rows = read_csv(out)
         assert "exact: moment order k=13 exceeds the cap 12" in rows[0]["reason"]
 
@@ -517,7 +537,7 @@ print(json.dumps(seen))
 # matprod.__all__, the names that load on first access included
 PUBLIC_NAMES = [
     "AsymmetryError", "AtomicLawError", "BetaParams", "BudgetExceeded",
-    "CollisionRegimeWarning", "DimensionMismatch", "DistributionSpec", "EmptyBatch",
+    "DimensionMismatch", "DistributionSpec", "EmptyBatch",
     "EnsembleConfig", "ErrorBudget", "FloatRangeError", "InsufficientSamples",
     "KSReport", "MatprodError", "MomentEstimate", "NormalizationError",
     "ReluNetConfig", "SampleBatch", "SummaryStats", "UnitVector", "UsageError",
@@ -600,6 +620,45 @@ class TestFormats:
                     assert isinstance(obj[key], (int, float))
                     assert obj[key] == pytest.approx(float(text), rel=1e-15)
         assert rows[0]["ks_linear_term"] == "inf"
+
+    @pytest.mark.parametrize(
+        "args, columns",
+        [
+            (["beta", "--widths", "4,4"],
+             ["beta", "term_width", "term_fourth", "sum_inv_sq_widths", "ks_linear_term",
+              "ks_fifth_root_term", "ks_sqrt_term", "mask_term"]),
+            (["simulate", "--widths", "4,4", "--trials", "20"],
+             ["trials", "zero_events", "zero_event_rate", "mean", "variance", "skewness",
+              "q05", "q25", "q50", "q75", "q95", "beta", "predicted_mean",
+              "predicted_variance", "reason"]),
+            (["simulate", "--widths", "4,4", "--trials", "1"],
+             ["trials", "zero_events", "zero_event_rate", "mean", "variance", "skewness",
+              "q05", "q25", "q50", "q75", "q95", "beta", "predicted_mean",
+              "predicted_variance", "reason"]),
+            (["moments", "--widths", "4,4", "--k", "1,2", "--trials", "20"],
+             ["k", "exact", "brute_force", "monte_carlo", "mc_stderr", "theory", "beta",
+              "zero_event_rate", "reason"]),
+            (["ks-test", "--widths", "4,4", "--trials", "20"],
+             ["trials", "samples", "zero_events", "beta", "ref_mean", "ref_variance",
+              "ks_statistic", "critical_5pct", "threshold"]),
+            (["chi2-check", "--widths", "4,4", "--trials", "20"],
+             ["trials", "zero_events", "two_sample_ks", "two_sample_critical",
+              "ks_vs_normal", "one_sample_critical", "mean", "variance", "skewness",
+              "beta", "threshold"]),
+            (["jacobian-compare", "--widths", "4,4", "--trials", "100"],
+             ["trials", "ks_statistic", "critical_5pct", "jacobian_zero_events",
+              "product_zero_events", "product_p", "threshold"]),
+        ],
+        ids=["beta", "simulate", "simulate-one-trial", "moments", "ks-test", "chi2-check",
+             "jacobian-compare"],
+    )
+    def test_columns_in_output_order(self, tmp_path, args, columns):
+        csv_path, json_path = tmp_path / "o.csv", tmp_path / "o.json"
+        assert main(args + ["--output", str(csv_path)]) == 0
+        assert main(args + ["--format", "json", "--output", str(json_path)]) == 0
+        assert csv_path.read_text().splitlines()[1] == ",".join(columns)
+        _, *rows = (json.loads(line) for line in json_path.read_text().splitlines())
+        assert rows and all(list(row) == columns for row in rows)
 
     def test_csv_has_header_and_comment(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -480,10 +480,18 @@ class TestSamplerGuard:
     def test_estimate_counts_live_entries(self, gauss):
         # p n_i live rows per layer; the first layer's columns are u's
         # nonzero coordinates, and one trial past a block edge runs a block
-        cfg = EnsembleConfig((6, 4, 8), F(1, 2), gauss)
+        cfg = EnsembleConfig((6, 32, 8), F(1, 2), gauss)
         e1, uniform = UnitVector.basis(6), UnitVector.uniform(6)
-        assert montecarlo.product_draws(cfg, e1, 10) == 256 * (1 * 2 + 2 * 4)
-        assert montecarlo.product_draws(cfg, uniform, 10) == 256 * (6 * 2 + 2 * 4)
-        assert montecarlo.product_draws(cfg, e1, 256) == 256 * 10
-        assert montecarlo.product_draws(cfg, e1, 257) == 2 * 256 * 10
+        assert montecarlo.product_draws(cfg, e1, 10) == 256 * (1 * 16 + 16 * 4)
+        assert montecarlo.product_draws(cfg, uniform, 10) == 256 * (6 * 16 + 16 * 4)
+        assert montecarlo.product_draws(cfg, e1, 256) == 256 * 80
+        assert montecarlo.product_draws(cfg, e1, 257) == 2 * 256 * 80
         assert montecarlo.product_draws(cfg, e1, 0) == 0
+
+    def test_narrow_layers_charge_the_floor(self, gauss):
+        # per-layer overhead, not entries, sets a narrow layer's cost
+        floor = montecarlo.TRIAL_LAYER_FLOOR
+        cfg = EnsembleConfig((6, 8, 8), F(1, 2), gauss)
+        e1, uniform = UnitVector.basis(6), UnitVector.uniform(6)
+        assert montecarlo.product_draws(cfg, e1, 10) == 256 * (floor + 4 * 4)
+        assert montecarlo.product_draws(cfg, uniform, 10) == 256 * (6 * 4 + 4 * 4)

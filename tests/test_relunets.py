@@ -15,7 +15,13 @@ from matprod import (
     run_trials,
     two_sample_ks,
 )
-from matprod.montecarlo import CHUNK, DOMAIN_NET_BLOCKS, SAMPLER_BUDGET, chunk_stream
+from matprod.montecarlo import (
+    CHUNK,
+    DOMAIN_NET_BLOCKS,
+    SAMPLER_BUDGET,
+    TRIAL_LAYER_FLOOR,
+    chunk_stream,
+)
 from matprod.relunets import (
     _jacobian_chunk,
     default_input,
@@ -204,6 +210,10 @@ class TestSamplerGuard:
         cfg = tiny_config(gauss, widths=(8, 16, 16, 16))
         assert jacobian_draws(cfg, 20_000) == 79 * 256 * (8 * 16 + 16 + 2 * (16 * 16 + 16))
         assert jacobian_draws(cfg, 20_000) <= SAMPLER_BUDGET
+
+    def test_narrow_layers_charge_the_floor(self, gauss):
+        cfg = tiny_config(gauss, widths=(1, 1, 16))
+        assert jacobian_draws(cfg, 10) == 256 * (TRIAL_LAYER_FLOOR + 16 * 1 + 16)
 
     def test_minutes_of_sampling_refused_up_front(self, gauss):
         cfg = tiny_config(gauss, widths=(1000,) * 121)
