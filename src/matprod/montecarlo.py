@@ -3,7 +3,7 @@
 Stream discipline
 -----------------
 Trials are processed in fixed blocks of ``CHUNK`` consecutive trial indices.
-Block c draws from a dedicated generator seeded by hashing
+Block c draws from a dedicated SFC64 generator seeded by hashing
 ``(seed, domain, c)`` through numpy's SeedSequence, and consumes randomness
 in a fixed order set by its domain:
 
@@ -17,29 +17,35 @@ in a fixed order set by its domain:
     variates of shape n/2;
 ``DOMAIN_NET_BLOCKS``
     ReLU-net Jacobians (``relunets.jacobian_batch``): for each layer, the
-    full weight block, then the bias block.
+    weights of every row and every open unit of the layer before (all units
+    of the input layer) of every trial, in (trial, row, column) order, then
+    the ``(CHUNK, n)`` biases.
 
 ``DOMAIN_NETS`` is not a block domain and nothing in the package draws from
 it: it stays reserved for the tests' single-network oracle, which seeds one
 generator per network with ``(seed, DOMAIN_NETS, trial index)``.  No block
 domain may reuse 3, or an oracle network would share a stream with a block.
 
+SFC64 passes BigCrush and PractRand and hands out normals and uniforms
+faster than PCG64; every block seeds its own generator, so no stream is
+ever jumped ahead.
+
 A trial's outcome is therefore a pure function of (seed, config, trial
 index) — independent of how many trials were requested and of how blocks
 are scheduled across threads.  Results are reduced by sorting, so any
 thread count produces the same batch.
 
-How many numbers a block consumes is set by its mask counts alone, which
-come from the same stream, so consumption is still a pure function of (seed,
-config, block); a trial whose vector vanished (a zero event) keeps drawing
-for its live entries.
+How many numbers a block consumes is set by its mask counts (a ReLU net's:
+its open units) alone, which come from the same stream, so consumption is
+still a pure function of (seed, config, block); a trial whose vector
+vanished (a zero event) keeps drawing for its live entries.
 
-A product block draws and contracts each layer's weights in slices of
-consecutive trials (``SLICE_ENTRIES`` padded entries, 512 KB, or one trial
-where a single trial needs more).  Consecutive draws give the numbers of one
-joint draw, so slicing leaves the stream and the output bytes as they are,
-and a thread holds about one slice of weights at a time instead of a
-``(CHUNK, n, n)`` block.
+Both block samplers draw and contract each layer's weights with
+``_contract_layer``, in slices of consecutive trials (``SLICE_ENTRIES``
+padded entries, 512 KB, or one trial where a single trial needs more).
+Consecutive draws give the numbers of one joint draw, so slicing leaves the
+stream and the output bytes as they are, and a thread holds about one slice
+of weights at a time instead of a ``(CHUNK, n, n)`` block.
 
 The ``MATPROD_THREADS`` environment variable, an integer >= 1, caps worker
 threads; the default is the number of CPUs the process may run on.
@@ -79,15 +85,24 @@ SLICE_ENTRIES = 1 << 16
 # within that bound is a zero event.
 CANCEL_SLACK = 4.0
 
-# A drawn entry costs about 25 ns with every stage included (64x16, p = 1/2,
-# one thread), so this admits about 4 minutes of sampling on one thread.
-# The 100,000-trial chi2-check at 64x16 draws about 6.6e9 entries.
+# A drawn entry costs about 15 ns with every stage included (64x16 and 128x8,
+# p = 1/2, one thread; a ReLU-net Jacobian 16-20 ns per charged entry), so
+# this admits about 2.5-3.5 minutes of sampling on one thread.  The
+# 100,000-trial chi2-check at 64x16 draws about 6.6e9 entries.
 SAMPLER_BUDGET = 10**10
 # A narrow layer costs more than its entries: numpy's per-call overhead makes
-# one trial of a width-1 layer take about 0.3-0.4 us at depths 8-32 (one
-# thread), 12-15 entries at the cost above.  Each trial-layer is charged at
-# least this many.
+# one trial of a width-1 layer take about 0.2-0.3 us at depths 8-32 (one
+# thread), 13-20 entries at the cost above, and 0.3-0.45 us on the Jacobian
+# side.  Each trial-layer is charged at least this many.
 TRIAL_LAYER_FLOOR = 16
+
+# A batch holds about 30 bytes per trial at its peak (the blocks' logs and
+# alive flags, the kept logs, their merge and its sorted copy; ``simulate
+# --widths 1,1 --p 1``: 58 MB at 5e5 trials, 104 MB at 2e6).  A call whose
+# batch would pass BATCH_BYTES is refused before any block runs: at width 1
+# the draw budget alone admits batches of about 20 GB.
+BATCH_BYTES_PER_TRIAL = 32
+BATCH_BYTES = 2 * 1024**3
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -110,7 +125,7 @@ def resolve_threads(threads: int | None = None) -> int:
 def chunk_stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Dedicated generator for one block, derived by hashing the identifiers."""
     ss = np.random.SeedSequence((int(seed), int(domain), int(index)))
-    return np.random.Generator(np.random.PCG64(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 @dataclass(frozen=True)
@@ -153,16 +168,8 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
     in unit order and only their counts pass from layer to layer.
 
     A layer draws its ``(CHUNK, n)`` mask uniforms for the whole block, then
-    works through the block in slices of consecutive trials: each slice
-    draws its part of the flat live-entry draw, in (trial, row, column)
-    order, scatters it into a zero block of shape (slice, max live rows, max
-    live units), contracts it and writes its rows of v.  The maxima are
-    block-wide, so every trial is contracted in the same shape whatever the
-    slicing.  A slice holds at most ``SLICE_ENTRIES`` padded entries, or one
-    trial where a single trial needs more, so a thread keeps one such block,
-    not the whole layer, resident.  The numbers drawn and their order are
-    those of one flat draw per layer.  Where a slice has no hole (p = 1 with
-    a dense u) the same numbers are drawn in its shape directly.
+    its live entries, in (trial, row, column) order, through
+    ``_contract_layer``.
     """
     widths = config.widths
     p = float(config.p)
@@ -180,35 +187,58 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
     for i in range(1, len(widths)):
         n = widths[i]
         live = np.count_nonzero(rng.random((CHUNK, n)) < p, axis=1)
-        rows, cols = int(live.max()), int(prev.max())
-        step = max(1, SLICE_ENTRIES // max(1, rows * cols))
-        row_mask = np.arange(rows) < live[:, None]
-        col_mask = np.arange(cols) < prev[:, None]
-        v = np.empty((CHUNK, rows))
-        for lo in range(0, CHUNK, step):
-            hi = min(lo + step, CHUNK)
-            v[lo:hi] = _contract_slice(
-                law, rng, live[lo:hi], prev[lo:hi], row_mask[lo:hi], col_mask[lo:hi], u[lo:hi]
-            )
+        v = _contract_layer(law, rng, live, prev, u[:, :, None])[:, :, 0]
         u = _renormalize(v, p * n, logs, alive, cancel * live * prev**3.0)
         prev = live
     return logs, alive
 
 
-def _contract_slice(law, rng, live, prev, row_mask, col_mask, u):
+def _contract_layer(law, rng, live, prev, stack):
+    """Draw one layer's weights for a block and apply them to its vectors.
+
+    Trial c has ``live[c]`` rows and ``prev[c]`` columns, both packed at the
+    front; ``stack`` holds its column vectors, shape (CHUNK, max prev, k).
+    Only the ``live[c] * prev[c]`` entries of each trial are drawn, in
+    (trial, row, column) order, as the numbers of one flat draw; returns the
+    products, shape (CHUNK, max live, k).
+
+    The block is worked through in slices of consecutive trials: each slice
+    draws its part of the flat draw, scatters it into a zero block of shape
+    (slice, max live, max prev) and contracts it.  The maxima are block-wide,
+    so every trial is contracted in the same shape whatever the slicing.  A
+    slice holds at most ``SLICE_ENTRIES`` padded entries, or one trial where
+    a single trial needs more, so a thread keeps one such block, not the
+    whole layer, resident.
+    """
+    rows, cols = int(live.max()), stack.shape[1]
+    step = max(1, SLICE_ENTRIES // max(1, rows * cols))
+    row_mask = np.arange(rows) < live[:, None]
+    col_mask = np.arange(cols) < prev[:, None]
+    out = np.empty((CHUNK, rows, stack.shape[2]))
+    for lo in range(0, CHUNK, step):
+        hi = min(lo + step, CHUNK)
+        out[lo:hi] = _contract_slice(
+            law, rng, live[lo:hi], prev[lo:hi], row_mask[lo:hi], col_mask[lo:hi], stack[lo:hi]
+        )
+    return out
+
+
+def _contract_slice(law, rng, live, prev, row_mask, col_mask, stack):
     """Draw one slice's live weight entries into a zero block of shape
     (slice, rows, cols), the masks' widths, and contract it with the slice's
-    unit vectors; returns its rows of v.
+    column vectors; returns its rows of the products.
 
     The block is fresh for each slice: a reused one would keep the previous
-    slice's entries where this slice's trials have dead rows or units."""
+    slice's entries where this slice's trials have dead rows or units.
+    Where a slice has no hole (p = 1 with a dense u, or a ReLU net's input
+    layer) the same numbers are drawn in its shape directly."""
     shape = (live.size, row_mask.shape[1], col_mask.shape[1])
     if live.min() == shape[1] and prev.min() == shape[2]:
         weights = law.sample(rng, shape)
     else:
         weights = np.zeros(shape)
         weights[row_mask[:, :, None] & col_mask[:, None, :]] = law.sample(rng, int(live @ prev))
-    return np.matmul(weights, u[:, :, None])[:, :, 0]
+    return np.matmul(weights, stack)
 
 
 def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndarray, floor=0.0):
@@ -256,7 +286,17 @@ def check_draws(estimate: int, what: str) -> None:
 
 def _collect_chunks(trials: int, threads: int | None, chunk_fn):
     """Run chunk_fn over the blocks of trials 0 .. trials - 1; returns the
-    sorted log norms of the live trials and the number of zero events."""
+    sorted log norms of the live trials and the number of zero events.
+
+    A batch that would hold more than ``BATCH_BYTES`` raises
+    ``BudgetExceeded`` before any block runs."""
+    size = trials * BATCH_BYTES_PER_TRIAL
+    if size > BATCH_BYTES:
+        raise BudgetExceeded(
+            size,
+            BATCH_BYTES,
+            message=f"a batch of {trials} trials holds ~{size:.3g} bytes, bound is {BATCH_BYTES:.3g}",
+        )
     if trials == 0:
         return np.empty(0), 0
     indices = range(block_count(trials))

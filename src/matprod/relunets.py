@@ -13,9 +13,12 @@ same widths and law and compares them with ``ksstats.two_sample_ks``.
 The statistical path (``jacobian_batch``) never materializes the Jacobian.
 It draws networks in blocks of ``CHUNK`` on the ensemble sampler's block
 engine, and for each block propagates the inputs and the tangent vectors of
-all its networks at once through the masked layers, with the same
-renormalize-and-accumulate step as the ensemble sampler; blocks run on worker
-threads and the batch does not depend on their number.  The exact Jacobian
+all its networks at once through the masked layers, with the same sliced
+contraction (``montecarlo._contract_layer``) and the same
+renormalize-and-accumulate step as the ensemble sampler.  A closed unit
+passes nothing on, so a layer draws only the weight columns of the units
+open in the layer before: about half of them.  Blocks run on worker threads
+and the batch does not depend on their number.  The exact Jacobian
 of one network, as a dense matrix, lives in the tests' oracle
 (``tests/oracles.py``); the tests check this path and finite differences
 against it.
@@ -37,6 +40,7 @@ from .montecarlo import (
     TRIAL_LAYER_FLOOR,
     SampleBatch,
     _collect_chunks,
+    _contract_layer,
     _renormalize,
     block_count,
     check_draws,
@@ -69,34 +73,49 @@ def default_input(dim: int) -> np.ndarray:
 def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.random.Generator):
     """Jacobian log-norms of one block of CHUNK networks; returns (logs, alive).
 
-    Per layer the block draws its (CHUNK, n, m) weights, then its (CHUNK, n)
-    biases: one layer of every network at a time, weights before biases.  A
-    forward pass that leaves double range raises ``FloatingPointError``: an
-    infinite or NaN pre-activation would decide the masks.
+    A unit with ``pre <= 0`` has h = v = 0, so its column of the next weight
+    matrix never reaches the output and is not drawn.  The weights are
+    i.i.d., so each trial's open units sit packed at the front in unit
+    order.  Per layer the block draws, through ``_contract_layer``, all n
+    rows of every trial's open columns (every column in the first layer) and
+    contracts h and v with them as one stack, then draws its (CHUNK, n)
+    biases.  A forward pass that leaves double range raises
+    ``FloatingPointError``: an infinite or NaN pre-activation would decide
+    the masks.
     """
     widths = cfg.widths
-    h = np.broadcast_to(x, (CHUNK, widths[0]))
-    v = np.broadcast_to(u0, (CHUNK, widths[0]))
+    law = cfg.weight_law
+    stack = np.broadcast_to(np.stack([x, u0], axis=1), (CHUNK, widths[0], 2))
+    prev = np.full(CHUNK, widths[0])
     logs = np.zeros(CHUNK)
     alive = np.ones(CHUNK, dtype=bool)
     for i in range(1, len(widths)):
         n, m = widths[i], widths[i - 1]
-        w = cfg.weight_law.sample(rng, (CHUNK, n, m))
-        w *= math.sqrt(2.0 / m)
-        b = cfg.weight_law.sample(rng, (CHUNK, n)) * cfg.bias_scale
-        pre = np.matmul(w, h[:, :, None])[:, :, 0] + b
-        v = np.matmul(w, v[:, :, None])[:, :, 0] * (pre > 0.0)
-        h = np.maximum(pre, 0.0)
-        v = _renormalize(v, n / m, logs, alive)
+        hv = _contract_layer(law, rng, np.full(CHUNK, n), prev, stack)
+        hv *= math.sqrt(2.0 / m)
+        pre = hv[:, :, 0] + law.sample(rng, (CHUNK, n)) * cfg.bias_scale
+        is_open = pre > 0.0
+        prev = np.count_nonzero(is_open, axis=1)
+        # boolean indexing runs in (trial, unit) order, so the open units
+        # land packed at the front in unit order; the rest of h and v is 0
+        packed = np.arange(prev.max()) < prev[:, None]
+        stack = np.zeros((CHUNK, packed.shape[1], 2))
+        stack[:, :, 0][packed] = pre[is_open]
+        stack[:, :, 1][packed] = hv[:, :, 1][is_open]
+        stack[:, :, 1] = _renormalize(stack[:, :, 1], n / m, logs, alive)
     return logs, alive
 
 
 def jacobian_draws(config: ReluNetConfig, trials: int) -> int:
-    """Weight and bias entries ``jacobian_batch`` draws: blocks * CHUNK *
-    sum (n m + n) over the layers, each term at least ``TRIAL_LAYER_FLOOR``."""
+    """Expected weight and bias entries ``jacobian_batch`` draws: blocks *
+    CHUNK * sum (n m' + n) over the layers, each term at least
+    ``TRIAL_LAYER_FLOOR``.  The first layer draws all m' = m columns; after
+    it a unit is open with probability exactly 1/2 (symmetric atomless
+    weights and biases), so m' = m / 2."""
     widths = config.widths
-    per_trial = sum(max(n * m + n, TRIAL_LAYER_FLOOR) for m, n in zip(widths, widths[1:]))
-    return block_count(trials) * CHUNK * per_trial
+    cols = [widths[0]] + [m / 2 for m in widths[1:-1]]
+    per_trial = sum(max(n * c + n, TRIAL_LAYER_FLOOR) for c, n in zip(cols, widths[1:]))
+    return math.ceil(block_count(trials) * CHUNK * per_trial)
 
 
 def jacobian_batch(

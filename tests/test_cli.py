@@ -162,15 +162,26 @@ class TestErrorContract:
 
     def test_jacobian_compare_budgets_both_sides_together(self, gauss):
         # each side alone is under the budget; the two together are not
-        widths = (1000,) * 40
+        widths = (1000,) * 61
         jac = jacobian_draws(ReluNetConfig(widths, gauss), 256)
         product = product_draws(EnsembleConfig(widths, Fraction(1, 2), gauss),
                                 UnitVector.uniform(1000), 256)
         assert jac < SAMPLER_BUDGET and product < SAMPLER_BUDGET < jac + product
-        proc = run_cli(["jacobian-compare", "--widths", "1000x39", "--trials", "256"])
+        proc = run_cli(["jacobian-compare", "--widths", "1000x60", "--trials", "256"])
         assert proc.returncode == 2
         assert proc.stderr == (
-            "matprod: error: Jacobian comparison draws ~1.26e+10 entries, budget is 1e+10\n"
+            "matprod: error: Jacobian comparison draws ~1.17e+10 entries, budget is 1e+10\n"
+        )
+
+    def test_batch_memory_refused_up_front(self):
+        # 16 entries a trial pass the draw budget, but the batch of 6e8
+        # trials would hold about 19 GB
+        proc = run_cli(["simulate", "--widths", "1,1", "--p", "1", "--trials", "600000000"],
+                       timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "matprod: error: a batch of 600000000 trials holds ~1.92e+10 bytes,"
+            " bound is 2.15e+09\n"
         )
 
     @pytest.mark.parametrize(
@@ -561,6 +572,20 @@ class TestStartup:
         assert len(seen) == 16
         assert seen.pop("simulate") == [0, True]
         assert seen == {step: [0, False] for step in seen}
+
+    def test_summaries_leave_numpy_ma_unloaded(self):
+        # np.quantile loads numpy.ma (about 13 ms); the summary quantiles do not
+        probe = (
+            "import os, sys\n"
+            "from matprod.cli import main\n"
+            "for sub in ('simulate', 'chi2-check'):\n"
+            "    assert main([sub, '--widths', '4,4', '--p', '1', '--trials', '10',\n"
+            "                 '--output', os.devnull]) == 0\n"
+            "print('numpy' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = TestThreads.run_python(["-c", probe], None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True False\n"
 
     def test_public_names_unchanged_and_resolve(self):
         assert sorted(matprod.__all__) == PUBLIC_NAMES

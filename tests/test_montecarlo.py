@@ -470,7 +470,7 @@ class TestSamplerGuard:
 
     def test_minutes_of_sampling_refused_up_front(self, gauss):
         # moments --widths 1000x120 --trials 2: one block, 120 layers of
-        # 1000 x 1000 entries, about 13 minutes of drawing at 25 ns each
+        # 1000 x 1000 entries, about 8 minutes of drawing at 15 ns each
         cfg = EnsembleConfig((1000,) * 121, 1, gauss)
         u = UnitVector.uniform(1000)
         assert montecarlo.product_draws(cfg, u, 2) == 256 * 120 * 1000**2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,6 +9,7 @@ from matprod import (
     AtomicLawError,
     BudgetExceeded,
     DimensionMismatch,
+    DistributionSpec,
     EnsembleConfig,
     ReluNetConfig,
     UnitVector,
@@ -15,6 +17,7 @@ from matprod import (
     run_trials,
     two_sample_ks,
 )
+from matprod import montecarlo
 from matprod.montecarlo import (
     CHUNK,
     DOMAIN_NET_BLOCKS,
@@ -117,18 +120,54 @@ class TestJacobian:
         assert abs(rate - 0.5) <= 5 * se
 
 
+def replay_block(cfg, x, seed, c):
+    """Redraw block c of ``DOMAIN_NET_BLOCKS`` in the engine's order: per
+    layer, for each trial, all n rows of the units open in its layer before
+    (every unit of the input layer), in (trial, row, column) order, then the
+    (CHUNK, n) biases.  Each weight is placed at its open unit's real index
+    of a dense (CHUNK, n, m) array that is zero elsewhere.  Returns the
+    weights and biases per layer, and per layer the (CHUNK,) counts of open
+    units that sized its weight draws."""
+    law = cfg.weight_law
+    rng = chunk_stream(seed, DOMAIN_NET_BLOCKS, c)
+    h = np.broadcast_to(x, (CHUNK, x.size))
+    is_open = np.ones((CHUNK, x.size), dtype=bool)
+    weights, biases, counts = [], [], []
+    for m, n in zip(cfg.widths, cfg.widths[1:]):
+        w = np.zeros((CHUNK, n, m))
+        for t in range(CHUNK):
+            cols = np.flatnonzero(is_open[t])
+            w[t][:, cols] = law.sample(rng, (n, cols.size)) * math.sqrt(2 / m)
+        b = law.sample(rng, (CHUNK, n)) * cfg.bias_scale
+        counts.append(np.count_nonzero(is_open, axis=1))
+        pre = np.einsum("cij,cj->ci", w, h) + b
+        is_open = pre > 0.0
+        h = np.maximum(pre, 0.0)
+        weights.append(w)
+        biases.append(b)
+    return weights, biases, counts
+
+
+class RecordingGenerator:
+    """A generator that records the size of every normal draw, in order."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.sizes = []
+
+    def standard_normal(self, shape):
+        out = self.gen.standard_normal(shape)
+        self.sizes.append(out.size)
+        return out
+
+
 class TestBlockEngine:
     def test_every_trial_matches_its_single_network(self, gauss):
         widths = (5, 6, 4, 3)
         cfg = tiny_config(gauss, widths=widths, bias_scale=0.5)
         x, u = default_input(5), UnitVector.uniform(5)
         logs, alive = _jacobian_chunk(cfg, x, u.coords, chunk_stream(42, DOMAIN_NET_BLOCKS, 0))
-        # replay the block's draws: per layer the weight block, then the bias block
-        rng = chunk_stream(42, DOMAIN_NET_BLOCKS, 0)
-        weights, biases = [], []
-        for m, n in zip(widths, widths[1:]):
-            weights.append(gauss.sample(rng, (CHUNK, n, m)) * math.sqrt(2 / m))
-            biases.append(gauss.sample(rng, (CHUNK, n)) * 0.5)
+        weights, biases, _ = replay_block(cfg, x, 42, 0)
         dead = 0
         for t in range(CHUNK):
             ju = dense_jacobian([w[t] for w in weights], [b[t] for b in biases], x) @ u.coords
@@ -139,6 +178,90 @@ class TestBlockEngine:
             else:
                 assert logs[t] == pytest.approx(math.log(5 / 3 * sq), rel=1e-10)
         assert 0 < dead < CHUNK
+
+    @pytest.mark.parametrize(
+        "widths, bias_scale, seed, c",
+        [((5, 6, 4, 3), 0.5, 42, 0), ((3, 7, 2, 5, 4), 1.0, 7, 3), ((8, 16, 16, 16), 1.0, 13, 1)],
+    )
+    def test_draws_only_open_columns(self, gauss, widths, bias_scale, seed, c):
+        # each layer draws n x (open units of the layer before) weights per
+        # trial, every weight before the layer's n biases per trial
+        cfg = tiny_config(gauss, widths=widths, bias_scale=bias_scale)
+        x, u = inputs(cfg)
+        rng = RecordingGenerator(chunk_stream(seed, DOMAIN_NET_BLOCKS, c))
+        _jacobian_chunk(cfg, x, u.coords, rng)
+        _, _, counts = replay_block(cfg, x, seed, c)
+        sizes = rng.sizes
+        assert counts[0].tolist() == [widths[0]] * CHUNK
+        for n, open_units in zip(widths[1:], counts):
+            left = n * int(open_units.sum())
+            while left:
+                left -= sizes.pop(0)
+                assert left >= 0
+            assert sizes.pop(0) == CHUNK * n
+        assert not sizes
+        assert any(k.min() < k.max() for k in counts[1:])
+
+    @pytest.mark.parametrize(
+        "widths, budget, seed, c",
+        [((5, 6, 4, 3), 40, 42, 0), ((8, 16, 16, 16), 300, 13, 1), ((64, 64, 64), None, 5, 0)],
+    )
+    def test_slices_bound_draws(self, gauss, monkeypatch, widths, budget, seed, c):
+        # per layer the weights come in slices of consecutive trials, each
+        # drawing its trials' n x (open units) weights and contracting a
+        # (slice, n, block-wide max open units) array; a slice holds at most
+        # max(budget, largest single-trial draw) numbers, and its padded
+        # array at most the budget unless it is one trial
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "SLICE_ENTRIES", budget)
+        budget = montecarlo.SLICE_ENTRIES
+        cfg = tiny_config(gauss, widths=widths)
+        x, u = inputs(cfg)
+        _, _, counts = replay_block(cfg, x, seed, c)
+        events = []
+        sample, matmul = DistributionSpec.sample, np.matmul
+
+        def recording_sample(law, rng, shape):
+            out = sample(law, rng, shape)
+            events.append(out.size)
+            return out
+
+        def recording_matmul(a, b):
+            events.append(a.shape)
+            return matmul(a, b)
+
+        monkeypatch.setattr(DistributionSpec, "sample", recording_sample)
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        _jacobian_chunk(cfg, x, u.coords, chunk_stream(seed, DOMAIN_NET_BLOCKS, c))
+        monkeypatch.undo()
+        sliced = False
+        for n, open_units in zip(widths[1:], counts):
+            cap = max(budget, n * int(open_units.max()))
+            lo = 0
+            while lo < CHUNK:
+                draw, shape = events.pop(0), events.pop(0)
+                hi = lo + shape[0]
+                assert shape[1:] == (n, open_units.max())
+                assert draw == n * open_units[lo:hi].sum() <= cap
+                assert shape[0] == 1 or shape[0] * shape[1] * shape[2] <= budget
+                sliced |= shape[0] < CHUNK
+                lo = hi
+            assert lo == CHUNK
+            assert events.pop(0) == CHUNK * n
+        assert not events
+        assert sliced
+
+    def test_block_memory_is_a_few_slices(self, gauss):
+        # 256x8: a dense (CHUNK, 256, 256) weight block alone would be 128 MiB
+        cfg = tiny_config(gauss, widths=(256,) * 9)
+        x, u = inputs(cfg)
+        tracemalloc.start()
+        try:
+            _jacobian_chunk(cfg, x, u.coords, chunk_stream(1, DOMAIN_NET_BLOCKS, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_thread_count_does_not_change_batch(self, gauss):
         cfg = tiny_config(gauss, widths=(6, 8, 8, 8, 8))
@@ -206,17 +329,18 @@ class TestComparison:
 
 class TestSamplerGuard:
     def test_acceptance_comparison_is_admitted(self, gauss):
-        # jacobian-compare --widths 8,16x3 --trials 20000: 79 blocks
+        # jacobian-compare --widths 8,16x3 --trials 20000: 79 blocks; all 8
+        # input columns, then half of each 16-unit layer open
         cfg = tiny_config(gauss, widths=(8, 16, 16, 16))
-        assert jacobian_draws(cfg, 20_000) == 79 * 256 * (8 * 16 + 16 + 2 * (16 * 16 + 16))
+        assert jacobian_draws(cfg, 20_000) == 79 * 256 * (16 * 8 + 16 + 2 * (16 * 8 + 16))
         assert jacobian_draws(cfg, 20_000) <= SAMPLER_BUDGET
 
     def test_narrow_layers_charge_the_floor(self, gauss):
         cfg = tiny_config(gauss, widths=(1, 1, 16))
-        assert jacobian_draws(cfg, 10) == 256 * (TRIAL_LAYER_FLOOR + 16 * 1 + 16)
+        assert jacobian_draws(cfg, 10) == 256 * (TRIAL_LAYER_FLOOR + 16 * 0.5 + 16)
 
     def test_minutes_of_sampling_refused_up_front(self, gauss):
         cfg = tiny_config(gauss, widths=(1000,) * 121)
-        assert jacobian_draws(cfg, 200) == 256 * 120 * (1000**2 + 1000)
+        assert jacobian_draws(cfg, 200) == 256 * (1000**2 + 1000 + 119 * (1000 * 500 + 1000))
         with pytest.raises(BudgetExceeded, match=r"^Jacobian sampler draws"):
             jacobian_batch(cfg, 200, 0, *inputs(cfg))
