@@ -92,7 +92,7 @@ CANCEL_SLACK = 4.0
 SAMPLER_BUDGET = 10**10
 # A narrow layer costs more than its entries: numpy's per-call overhead makes
 # one trial of a width-1 layer take about 0.2-0.3 us at depths 8-32 (one
-# thread), 13-20 entries at the cost above, and 0.3-0.45 us on the Jacobian
+# thread), 13-20 entries at the cost above, and 0.35-0.47 us on the Jacobian
 # side.  Each trial-layer is charged at least this many.
 TRIAL_LAYER_FLOOR = 16
 
@@ -295,7 +295,8 @@ def _collect_chunks(trials: int, threads: int | None, chunk_fn):
         raise BudgetExceeded(
             size,
             BATCH_BYTES,
-            message=f"a batch of {trials} trials holds ~{size:.3g} bytes, bound is {BATCH_BYTES:.3g}",
+            message=f"a batch of {trials} trials holds ~{size:.3g} bytes, "
+            f"bound is {BATCH_BYTES:.3g}",
         )
     if trials == 0:
         return np.empty(0), 0

@@ -13,6 +13,7 @@ from matprod import (
     uniform_symmetric,
     validate_distribution,
 )
+from matprod.montecarlo import DOMAIN_PRODUCT, chunk_stream
 
 
 def test_gaussian_moments(gauss):
@@ -112,14 +113,14 @@ SPLIT_LAWS = {
     [(0, 0), (0, 5), (1, 1), (3, 5), (7, 0, 2, 9), (1, 1000, 3), ((2, 3, 4), 5, (1, 7, 3))],
 )
 def test_split_draw_equals_joint_draw(law_name, sizes):
-    # the block samplers draw a layer's live entries slice by slice from
-    # their SFC64 streams and rely on consecutive draws giving the numbers of
-    # one joint draw and leaving the generator where the joint draw leaves
-    # it; Rademacher and the discrete law draw through integers and choice,
-    # so a numpy change could break this for them alone
+    # the block samplers draw a layer's live entries slice by slice and
+    # rely on consecutive draws giving the numbers of one joint draw and
+    # leaving the generator where the joint draw leaves it; Rademacher and
+    # the discrete law draw through integers and choice, so a numpy change
+    # could break this for them alone
     law = SPLIT_LAWS[law_name]
-    split = np.random.Generator(np.random.SFC64(11))
-    joint = np.random.Generator(np.random.SFC64(11))
+    split = chunk_stream(11, DOMAIN_PRODUCT, 0)
+    joint = chunk_stream(11, DOMAIN_PRODUCT, 0)
     parts = [law.sample(split, size).ravel() for size in sizes]
     total = sum(int(np.prod(size)) for size in sizes)
     assert np.array_equal(np.concatenate(parts), law.sample(joint, total))
