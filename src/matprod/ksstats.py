@@ -38,7 +38,7 @@ def one_sample_ks(sorted_samples: np.ndarray, cdf) -> float:
     if x.size == 0:
         raise EmptyBatch("one-sample KS needs at least one sample")
     n = x.size
-    ref = np.array([cdf(t) for t in x])
+    ref = np.fromiter(map(cdf, x), np.float64, count=n)
     upper = np.arange(1, n + 1) / n - ref
     lower = ref - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

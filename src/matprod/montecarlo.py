@@ -32,13 +32,14 @@ ever jumped ahead.
 
 A trial's outcome is therefore a pure function of (seed, config, trial
 index) — independent of how many trials were requested and of how blocks
-are scheduled across threads.  Results are reduced by sorting, so any
-thread count produces the same batch.
+are scheduled across threads.  Blocks fill one array that is then sorted,
+so any thread count produces the same batch.  A trial whose vector vanished
+(a zero event) has log norm -inf and sorts first.
 
 How many numbers a block consumes is set by its mask counts (a ReLU net's:
 its open units) alone, which come from the same stream, so consumption is
 still a pure function of (seed, config, block); a trial whose vector
-vanished (a zero event) keeps drawing for its live entries.
+vanished keeps drawing for its live entries.
 
 Both block samplers draw and contract each layer's weights with
 ``_contract_layer``, in slices of consecutive trials (``SLICE_ENTRIES``
@@ -91,17 +92,18 @@ CANCEL_SLACK = 4.0
 # 100,000-trial chi2-check at 64x16 draws about 6.6e9 entries.
 SAMPLER_BUDGET = 10**10
 # A narrow layer costs more than its entries: numpy's per-call overhead makes
-# one trial of a width-1 layer take about 0.2-0.3 us at depths 8-32 (one
-# thread), 13-20 entries at the cost above, and 0.35-0.47 us on the Jacobian
-# side.  Each trial-layer is charged at least this many.
+# one trial of a width-1 layer take about 0.08 us of CPU (a ReLU-net Jacobian
+# 0.13 us) at depths 8-32, one thread, 51,200 trials; this floor, 0.24 us at
+# the cost above, covers both.  Each trial-layer is charged at least this many.
 TRIAL_LAYER_FLOOR = 16
 
-# A batch holds about 30 bytes per trial at its peak (the blocks' logs and
-# alive flags, the kept logs, their merge and its sorted copy; ``simulate
-# --widths 1,1 --p 1``: 58 MB at 5e5 trials, 104 MB at 2e6).  A call whose
-# batch would pass BATCH_BYTES is refused before any block runs: at width 1
-# the draw budget alone admits batches of about 20 GB.
-BATCH_BYTES_PER_TRIAL = 32
+# A sampler call peaks at about this many bytes per trial of each batch: the
+# batch and the statistics taken from it.  chi2-check peaks highest, at 113
+# bytes per trial for its two batches (its two-sample KS holds sorted copies,
+# their merge and two CDFs; peak RSS from 1e6 to 4e6 trials, widths 1,1, one
+# thread).  A batch that would pass BATCH_BYTES is refused before any block
+# runs: at width 1 the draw budget alone admits 6e8 trials.
+BATCH_BYTES_PER_TRIAL = 57
 BATCH_BYTES = 2 * 1024**3
 
 
@@ -130,22 +132,33 @@ def chunk_stream(seed: int, domain: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Sorted log-norm samples plus the zero-event counter."""
+    """Every trial's log norm, sorted, zero events (-inf) first; the batch
+    takes the array without a copy and makes it read-only."""
 
-    samples: np.ndarray
-    zero_event_count: int
-    trials: int
+    logs: np.ndarray
 
     def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if samples.size + self.zero_event_count != self.trials:
-            raise ValueError("samples + zero events must equal trials")
-        if samples.size > 1 and np.any(np.diff(samples) < 0):
-            raise ValueError("samples must be sorted ascending")
+        logs = np.asarray(self.logs, dtype=np.float64)
+        if logs.ndim != 1:
+            raise ValueError("logs must be one-dimensional")
+        if not np.all(logs[1:] >= logs[:-1]) or np.isnan(logs[-1:]).any():
+            raise ValueError("logs must be sorted ascending, without NaN")
+        logs.setflags(write=False)
+        object.__setattr__(self, "logs", logs)
+
+    @property
+    def trials(self) -> int:
+        return self.logs.size
+
+    @property
+    def zero_event_count(self) -> int:
+        """Trials whose vector vanished: the leading -inf logs."""
+        return int(np.searchsorted(self.logs, -np.inf, side="right"))
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The finite log norms, a view of the tail of ``logs``."""
+        return self.logs[self.zero_event_count :]
 
     @property
     def zero_event_rate(self) -> float | None:
@@ -160,7 +173,7 @@ class MomentEstimate:
 
 
 def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Generator):
-    """Propagate one block of CHUNK trials; returns (log norms, alive flags).
+    """Propagate one block of CHUNK trials; returns their log norms.
 
     Entry ``W_i[r, j]`` reaches the output only when row r of layer i and
     unit j of layer i-1 are live, so only those entries are drawn.  The
@@ -178,7 +191,6 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
     u = np.broadcast_to(units, (CHUNK, units.size)).copy()
     prev = np.full(CHUNK, units.size)
     logs = np.zeros(CHUNK)
-    alive = np.ones(CHUNK, dtype=bool)
     if law.atomless:
         cancel = 0.0
     else:
@@ -188,9 +200,9 @@ def _product_chunk(config: EnsembleConfig, u0: np.ndarray, rng: np.random.Genera
         n = widths[i]
         live = np.count_nonzero(rng.random((CHUNK, n)) < p, axis=1)
         v = _contract_layer(law, rng, live, prev, u[:, :, None])[:, :, 0]
-        u = _renormalize(v, p * n, logs, alive, cancel * live * prev**3.0)
+        u = _renormalize(v, p * n, logs, cancel * live * prev**3.0)
         prev = live
-    return logs, alive
+    return logs
 
 
 def _contract_layer(law, rng, live, prev, stack):
@@ -241,21 +253,21 @@ def _contract_slice(law, rng, live, prev, row_mask, col_mask, stack):
     return np.matmul(weights, stack)
 
 
-def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, alive: np.ndarray, floor=0.0):
+def _renormalize(v: np.ndarray, divisor: float, logs: np.ndarray, floor=0.0):
     """One layer of the log accumulator for a block of propagated vectors.
 
-    Adds ``log(||v||^2 / divisor)`` to ``logs`` and clears ``alive`` where
-    ``||v||^2 <= floor`` (v vanished), both in place; returns the rows of v
-    scaled to unit norm, dead rows zeroed.
+    Adds ``log(||v||^2 / divisor)`` to ``logs`` in place, -inf where
+    ``||v||^2 <= floor`` (v vanished: its zeroed row vanishes at every later
+    layer too); returns the rows of v scaled to unit norm.
     """
     # normalize the squared norm, not the vector: exactly representable
     # norms stay exact through the log
     raw_sq = np.einsum("ci,ci->c", v, v)
-    alive &= raw_sq > floor
-    safe = np.where(alive, raw_sq, 1.0)
-    logs += np.where(alive, np.log(safe / divisor), 0.0)
+    kept = raw_sq > floor
+    safe = np.where(kept, raw_sq, 1.0)
+    logs += np.where(kept, np.log(safe / divisor), -np.inf)
     u = v / np.sqrt(safe)[:, None]
-    u[~alive] = 0.0
+    u[~kept] = 0.0
     return u
 
 
@@ -284,12 +296,13 @@ def check_draws(estimate: int, what: str) -> None:
         )
 
 
-def _collect_chunks(trials: int, threads: int | None, chunk_fn):
-    """Run chunk_fn over the blocks of trials 0 .. trials - 1; returns the
-    sorted log norms of the live trials and the number of zero events.
-
-    A batch that would hold more than ``BATCH_BYTES`` raises
-    ``BudgetExceeded`` before any block runs."""
+def _collect_chunks(trials: int, threads: int | None, chunk_fn) -> SampleBatch:
+    """Run chunk_fn over the blocks of trials 0 .. trials - 1, each writing
+    its log norms into its slice of one array, and return the array, sorted
+    in place, as the batch.  A batch that would hold more than
+    ``BATCH_BYTES`` raises ``BudgetExceeded`` before any block runs."""
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     size = trials * BATCH_BYTES_PER_TRIAL
     if size > BATCH_BYTES:
         raise BudgetExceeded(
@@ -298,24 +311,20 @@ def _collect_chunks(trials: int, threads: int | None, chunk_fn):
             message=f"a batch of {trials} trials holds ~{size:.3g} bytes, "
             f"bound is {BATCH_BYTES:.3g}",
         )
-    if trials == 0:
-        return np.empty(0), 0
+    logs = np.empty(trials)
+
+    def fill(c: int) -> None:
+        logs[c * CHUNK : (c + 1) * CHUNK] = chunk_fn(c)[: trials - c * CHUNK]
+
     indices = range(block_count(trials))
     workers = min(resolve_threads(threads), len(indices))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(chunk_fn, indices))
+            list(pool.map(fill, indices))
     else:
-        results = [chunk_fn(c) for c in indices]
-    samples = []
-    zero_events = 0
-    for c, (logs, alive) in zip(indices, results):
-        stop = min(trials - c * CHUNK, CHUNK)
-        kept = alive[:stop]
-        samples.append(logs[:stop][kept])
-        zero_events += int(np.size(kept) - np.count_nonzero(kept))
-    merged = np.sort(np.concatenate(samples))
-    return merged, zero_events
+        list(map(fill, indices))
+    logs.sort()
+    return SampleBatch(logs)
 
 
 def run_trials(
@@ -332,8 +341,6 @@ def run_trials(
     call that would draw more than ``SAMPLER_BUDGET`` entries raises
     ``BudgetExceeded`` before any block runs.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
     if u.dim != config.widths[0]:
         raise ValueError(f"u has dim {u.dim}, architecture starts at {config.widths[0]}")
     check_draws(product_draws(config, u, trials), "product sampler")
@@ -343,8 +350,7 @@ def run_trials(
         rng = chunk_stream(seed, DOMAIN_PRODUCT, index)
         return _product_chunk(config, u0, rng)
 
-    samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
-    return SampleBatch(samples, zero_events, trials)
+    return _collect_chunks(trials, threads, chunk_fn)
 
 
 def empirical_moment(batch: SampleBatch, k: int) -> MomentEstimate:
@@ -365,8 +371,8 @@ def empirical_moment(batch: SampleBatch, k: int) -> MomentEstimate:
 def ks_to_gaussian(batch: SampleBatch, mean: float, variance: float) -> float:
     """One-sample KS distance of the batch to Normal(mean, variance).
 
-    Zero events carry no log value and are excluded here; their count stays
-    on the batch for separate reporting.
+    Zero events (log -inf) are excluded here; their count stays on the
+    batch for separate reporting.
     """
     if batch.samples.size == 0:
         raise EmptyBatch("KS statistic needs at least one sample")
@@ -381,7 +387,7 @@ def _chi2_chunk(widths, rng: np.random.Generator):
     logs = np.zeros(CHUNK)
     for n in widths:
         logs += np.log(2.0 * rng.standard_gamma(n / 2.0, size=CHUNK) / n)
-    return logs, np.ones(CHUNK, dtype=bool)
+    return logs
 
 
 def chi_square_product_sampler(
@@ -398,12 +404,9 @@ def chi_square_product_sampler(
     widths = tuple(int(n) for n in widths)
     if any(n < 1 for n in widths):
         raise ValueError("widths must be positive")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
 
     def chunk_fn(index: int):
         rng = chunk_stream(seed, DOMAIN_CHI2, index)
         return _chi2_chunk(widths, rng)
 
-    samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
-    return SampleBatch(samples, zero_events, trials)
+    return _collect_chunks(trials, threads, chunk_fn)

@@ -14,11 +14,11 @@ The statistical path (``jacobian_batch``) never materializes the Jacobian.
 It draws networks in blocks of ``CHUNK`` on the ensemble sampler's block
 engine, and for each block propagates the inputs and the tangent vectors of
 all its networks at once through the masked layers, with the same sliced
-contraction (``montecarlo._contract_layer``) and the same
-renormalize-and-accumulate step as the ensemble sampler.  A closed unit
-passes nothing on, so a layer draws only the weight columns of the units
-open in the layer before: about half of them.  Blocks run on worker threads
-and the batch does not depend on their number.  The exact Jacobian
+contraction (``montecarlo._contract_layer``) and renormalize step as the
+ensemble sampler; a vanished tangent (a zero event) logs -inf.  A closed
+unit passes nothing on, so a layer draws only the weight columns of the
+units open in the layer before: about half of them.  Blocks run on worker
+threads and the batch does not depend on their number.  The exact Jacobian
 of one network, as a dense matrix, lives in the tests' oracle
 (``tests/oracles.py``); the tests check this path and finite differences
 against it.
@@ -71,7 +71,8 @@ def default_input(dim: int) -> np.ndarray:
 
 @np.errstate(over="raise", invalid="raise")
 def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.random.Generator):
-    """Jacobian log-norms of one block of CHUNK networks; returns (logs, alive).
+    """Jacobian log-norms of one block of CHUNK networks, -inf where the
+    tangent vector vanished.
 
     A unit with ``pre <= 0`` has h = v = 0, so its column of the next weight
     matrix never reaches the output and is not drawn.  The weights are
@@ -88,7 +89,6 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
     stack = np.broadcast_to(np.stack([x, u0], axis=1), (CHUNK, widths[0], 2))
     prev = np.full(CHUNK, widths[0])
     logs = np.zeros(CHUNK)
-    alive = np.ones(CHUNK, dtype=bool)
     for i in range(1, len(widths)):
         n, m = widths[i], widths[i - 1]
         hv = _contract_layer(law, rng, np.full(CHUNK, n), prev, stack)
@@ -102,8 +102,8 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
         stack = np.zeros((CHUNK, packed.shape[1], 2))
         stack[:, :, 0][packed] = pre[is_open]
         stack[:, :, 1][packed] = hv[:, :, 1][is_open]
-        stack[:, :, 1] = _renormalize(stack[:, :, 1], n / m, logs, alive)
-    return logs, alive
+        stack[:, :, 1] = _renormalize(stack[:, :, 1], n / m, logs)
+    return logs
 
 
 def jacobian_draws(config: ReluNetConfig, trials: int) -> int:
@@ -134,8 +134,6 @@ def jacobian_batch(
     ``SAMPLER_BUDGET`` entries raises ``BudgetExceeded`` before any block runs,
     and one whose forward pass overflows a double raises ``FloatRangeError``.
     """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
     check_draws(jacobian_draws(config, trials), "Jacobian sampler")
     widths = config.widths
     x = np.asarray(x, dtype=np.float64)
@@ -152,10 +150,9 @@ def jacobian_batch(
         return _jacobian_chunk(config, x, u0, rng)
 
     try:
-        samples, zero_events = _collect_chunks(trials, threads, chunk_fn)
+        return _collect_chunks(trials, threads, chunk_fn)
     except FloatingPointError:
         raise FloatRangeError(
             f"the ReLU forward pass leaves double precision at bias scale {config.bias_scale:g}"
         ) from None
-    return SampleBatch(samples, zero_events, trials)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,12 @@ import matprod
 from matprod import EnsembleConfig, ReluNetConfig, UnitVector
 from matprod.cli import _fmt, _json_value, main, parse_config, parse_widths
 from matprod.errors import UsageError
-from matprod.montecarlo import SAMPLER_BUDGET, product_draws, resolve_threads
+from matprod.montecarlo import (
+    BATCH_BYTES_PER_TRIAL,
+    SAMPLER_BUDGET,
+    product_draws,
+    resolve_threads,
+)
 from matprod.relunets import jacobian_draws
 
 
@@ -175,12 +181,12 @@ class TestErrorContract:
 
     def test_batch_memory_refused_up_front(self):
         # 16 entries a trial pass the draw budget, but the batch of 6e8
-        # trials would hold about 19 GB
+        # trials is charged about 34 GB
         proc = run_cli(["simulate", "--widths", "1,1", "--p", "1", "--trials", "600000000"],
                        timeout=60)
         assert proc.returncode == 2
         assert proc.stderr == (
-            "matprod: error: a batch of 600000000 trials holds ~1.92e+10 bytes,"
+            "matprod: error: a batch of 600000000 trials holds ~3.42e+10 bytes,"
             " bound is 2.15e+09\n"
         )
 
@@ -237,6 +243,37 @@ class TestErrorContract:
         assert proc.stderr.startswith("matprod: error: ")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize(
+        "args, batches",
+        [
+            (["simulate", "--p", "1"], 1),
+            (["moments", "--p", "1", "--k", "2"], 1),
+            (["ks-test", "--p", "1"], 1),
+            (["jacobian-compare"], 2),
+            (["chi2-check", "--p", "1"], 2),
+        ],
+    )
+    def test_call_peaks_within_its_batch_charge(self, tmp_path, args, batches):
+        # BATCH_BYTES_PER_TRIAL charges a whole sampler call, the statistics
+        # taken from its batches included; at width 1 those outweigh the
+        # blocks, and the call's traced peak stays within the charge.  A
+        # small call first loads what the first call of a process imports.
+        def call(trials):
+            return main([args[0], "--widths", "1,1", *args[1:], "--trials", str(trials),
+                         "--threads", "1", "--output", str(tmp_path / "out.csv")])
+
+        trials = 200_000
+        assert call(1000) == 0
+        tracemalloc.start()
+        try:
+            assert call(trials) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= batches * trials * BATCH_BYTES_PER_TRIAL
 
 
 class TestBetaCommand:

@@ -151,16 +151,29 @@ class TestPropagation:
 
     def test_states_stay_unit_norm(self):
         # one layer of the block accumulator: live rows come back unit-norm
-        # with log(||v||^2 / divisor) added; a vanished row is zeroed and dead
+        # with log(||v||^2 / divisor) added; a vanished row is zeroed and
+        # logs -inf
         v = stream(13).standard_normal((6, 5))
         v[2] = 0.0
         raw_sq = np.einsum("ci,ci->c", v, v)
-        logs, alive = np.full(6, 0.5), np.ones(6, dtype=bool)
-        unit = _renormalize(v, 2.5, logs, alive)
+        logs = np.full(6, 0.5)
+        unit = _renormalize(v, 2.5, logs)
+        alive = np.isfinite(logs)
         assert alive.tolist() == [True, True, False, True, True, True]
-        assert not unit[2].any() and logs[2] == 0.5
+        assert not unit[2].any() and logs[2] == -np.inf
         assert np.einsum("ci,ci->c", unit[alive], unit[alive]) == pytest.approx(1.0, abs=1e-12)
         assert logs[alive] == pytest.approx(0.5 + np.log(raw_sq[alive] / 2.5), abs=1e-12)
+        # the next layer maps the zeroed row to 0 again: its log stays -inf
+        # and its row zero, with no floating-point exception on the way
+        before = logs.copy()
+        with np.errstate(all="raise"):
+            unit = _renormalize(unit @ stream(14).standard_normal((5, 4)), 4.0, logs)
+        assert logs[2] == -np.inf and not unit[2].any()
+        assert np.all(np.isfinite(logs[alive])) and np.all(logs[alive] != before[alive])
+        # a row within the floor vanished too, though not exactly 0: zeroed
+        logs = np.zeros(2)
+        unit = _renormalize(np.array([[1e-20, 0.0], [3.0, 4.0]]), 5.0, logs, floor=1e-30)
+        assert logs.tolist() == [-np.inf, np.log(5.0)] and not unit[0].any()
 
     def test_mean_of_exp_log_norm_is_one(self, gauss, rad):
         # zero events contribute 0 to the mean

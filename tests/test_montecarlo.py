@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction as F
 
@@ -82,10 +83,9 @@ def atomic_zero_probability(widths, p, law):
     return zero
 
 
-def manual_batch(samples, zero_events=0, trials=None):
+def manual_batch(samples, zero_events=0):
     samples = np.sort(np.asarray(samples, dtype=np.float64))
-    trials = trials if trials is not None else samples.size + zero_events
-    return SampleBatch(samples=samples, zero_event_count=zero_events, trials=trials)
+    return SampleBatch(np.concatenate([np.full(zero_events, -np.inf), samples]))
 
 
 class TestRunTrials:
@@ -144,6 +144,20 @@ class TestRunTrials:
         tolerance = 4 * math.sqrt(q * (1 - q) / n)
         assert abs(batch.zero_event_rate - q) <= tolerance
 
+    def test_batch_holds_one_double_per_trial(self, gauss):
+        # the blocks write into the batch's one array, which is sorted in
+        # place and taken without a copy; the order check adds a byte a
+        # trial.  A small call first loads what a first call imports.
+        cfg, u, trials = EnsembleConfig((1, 1), 1, gauss), UnitVector.basis(1), 200_000
+        run_trials(cfg, u, 1000, 0, threads=1)
+        tracemalloc.start()
+        try:
+            run_trials(cfg, u, trials, 0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * trials
+
     def test_block_replay_matches_direct_product(self):
         # redraw block c as the engine does, per layer the (CHUNK, n) mask
         # uniforms and then one flat draw of the live entries, and place it at
@@ -200,7 +214,8 @@ class TestRunTrials:
         for mask, w in layers:
             n = mask.shape[1]
             vec = np.einsum("cij,cj->ci", w, vec) * mask / math.sqrt(float(cfg.p) * n)
-        logs, alive = _product_chunk(cfg, u.coords, chunk_stream(seed, DOMAIN_PRODUCT, c))
+        logs = _product_chunk(cfg, u.coords, chunk_stream(seed, DOMAIN_PRODUCT, c))
+        alive = np.isfinite(logs)
         direct = np.einsum("ci,ci->c", vec, vec)
         vanished = direct < 1e-20
         assert np.array_equal(alive, ~vanished)
@@ -347,10 +362,19 @@ class TestRunTrials:
         assert abs(batch.zero_event_rate - q) <= tolerance
 
     def test_batch_invariants_validated(self):
-        with pytest.raises(ValueError):
-            SampleBatch(samples=np.array([1.0, 0.0]), zero_event_count=0, trials=2)
-        with pytest.raises(ValueError):
-            SampleBatch(samples=np.array([0.0]), zero_event_count=1, trials=1)
+        # logs must be sorted; NaN compares false either way, so no sorted
+        # batch holds one
+        for logs in ([1.0, 0.0], [np.nan], [-np.inf, np.nan], [0.0, np.nan, 1.0], [np.nan, 1.0]):
+            with pytest.raises(ValueError):
+                SampleBatch(np.array(logs))
+
+    def test_batch_derives_counts_from_logs(self):
+        # zero events are the leading -inf logs; samples is a read-only view
+        logs = np.array([-np.inf, -np.inf, -1.0, 0.5])
+        batch = SampleBatch(logs)
+        assert batch.logs is logs and not logs.flags.writeable
+        assert (batch.trials, batch.zero_event_count, batch.zero_event_rate) == (4, 2, 0.5)
+        assert batch.samples.tolist() == [-1.0, 0.5] and batch.samples.base is logs
 
 
 class TestEmpiricalMoment:
