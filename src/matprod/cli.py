@@ -9,11 +9,13 @@ ks-test           one-sample KS of a batch against its predicted normal law
 chi2-check        product sampler against the chi-square product law (p=1 Gaussian)
 jacobian-compare  ReLU-net Jacobian law against the masked product law
 
-Flags override config-file values.  Config-file keys are flag names, and
-every value, flag or file entry, goes through that flag's one converter, so
-a bad value or an unknown key is a usage error (exit 2).  Every run with the
-same config and seed writes byte-identical output for any MATPROD_THREADS
-setting.
+Each subcommand accepts only the flags it reads (the table ``_RUNNERS``),
+and its ``--config`` file may set only those: a flag the subcommand would
+ignore is an error, not a no-op.  Flags override config-file values.
+Config-file keys are flag names, and every value, flag or file entry, goes
+through that flag's one converter, so a bad value or a key the subcommand
+does not read is a usage error (exit 2).  Every run with the same config
+and seed writes byte-identical output for any MATPROD_THREADS setting.
 
 Exit status: 0 when the run completes, 1 when an ``--assert`` check fails,
 2 on any error (a bad input or a refused request), with one
@@ -223,13 +225,14 @@ _OPTIONS = {
     "--bias-scale": ("bias_scale", _real("--bias-scale", positive=True), None),
     "--x": ("x", str, "ones | e1 | coordinate file"),
 }
-_JACOBIAN_ONLY = ("--product-p", "--bias-scale", "--x")
 # Fewest trials per side that jacobian-compare accepts.
 _JACOBIAN_MIN_TRIALS = 100
 _CONVERTERS = {field: convert for field, convert, _ in _OPTIONS.values()}
 
 
 def resolve_law(config: ExperimentConfig) -> DistributionSpec:
+    if config.dist_pairs is not None and config.dist != "discrete":
+        raise UsageError("--dist-pairs needs --dist discrete")
     if config.dist == "discrete":
         if not config.dist_pairs:
             raise UsageError("--dist discrete needs --dist-pairs value:prob,...")
@@ -307,19 +310,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"matprod {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _RUNNERS:
-        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+    for name, (_, reads) in _RUNNERS.items():
+        # no abbreviations: --p would otherwise stand for --product-p
+        sp = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
         sp.add_argument("--config", help="JSON file with flag defaults")
-        for flag, (field, _, help_text) in _OPTIONS.items():
-            if flag in _JACOBIAN_ONLY and name != "jacobian-compare":
-                continue
+        for flag in reads:
+            field, _, help_text = _OPTIONS[flag]
             action = "store_true" if flag == "--assert" else "store"
             sp.add_argument(flag, dest=field, action=action, help=help_text)
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    """The file's entries keyed by ExperimentConfig field; keys are flag names."""
+def _read_config_file(path: str, subcommand: str) -> dict:
+    """The file's entries keyed by ExperimentConfig field; keys are names of
+    flags the subcommand reads."""
     try:
         with open(path, encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -327,12 +331,15 @@ def _read_config_file(path: str) -> dict:
         raise UsageError(f"--config {path!r} unreadable: {exc}") from None
     if not isinstance(loaded, dict):
         raise UsageError(f"--config {path!r} must hold a JSON object")
+    reads = _RUNNERS[subcommand][1]
     values = {}
     for key, value in loaded.items():
-        option = _OPTIONS.get("--" + key.replace("_", "-"))
-        if option is None:
-            raise UsageError(f"--config {path!r} has unknown key {key!r}")
-        values[option[0]] = value
+        flag = "--" + key.replace("_", "-")
+        if flag not in reads:
+            raise UsageError(
+                f"--config {path!r} has key {key!r}, which {subcommand} does not read"
+            )
+        values[_OPTIONS[flag][0]] = value
     return values
 
 
@@ -346,7 +353,7 @@ def parse_config(argv) -> ExperimentConfig:
     subcommand = values.pop("subcommand")
     file_path = values.pop("config", None)
     if file_path:
-        values = {**_read_config_file(file_path), **values}
+        values = {**_read_config_file(file_path, subcommand), **values}
     if values.get("widths") in (None, ""):
         raise UsageError("--widths is required")
     return ExperimentConfig(
@@ -613,19 +620,32 @@ def _run_jacobian_compare(config: ExperimentConfig):
     return rows, report.statistic <= threshold
 
 
+_LAW = ("--widths", "--p", "--dist", "--dist-pairs", "--u")
+_SAMPLE = ("--trials", "--seed", "--threads")
+_REPORT = ("--output", "--format")
+_CHECK = ("--assert", "--tolerance")
+
+# subcommand -> (runner, the flags it reads besides --config).  Its parser
+# registers these flags alone and its config file may set these keys alone.
 _RUNNERS = {
-    "beta": _run_beta,
-    "simulate": _run_simulate,
-    "moments": _run_moments,
-    "ks-test": _run_ks_test,
-    "chi2-check": _run_chi2_check,
-    "jacobian-compare": _run_jacobian_compare,
+    "beta": (_run_beta, _LAW + _REPORT),
+    "simulate": (_run_simulate, _LAW + _SAMPLE + _REPORT),
+    "moments": (_run_moments, _LAW + _SAMPLE + ("--k",) + _REPORT + ("--assert",)),
+    "ks-test": (_run_ks_test, _LAW + _SAMPLE + _REPORT + _CHECK),
+    # the law is fixed: --dist gaussian and --p 1 are all it accepts
+    "chi2-check": (_run_chi2_check,
+                   ("--widths", "--p", "--dist", "--u") + _SAMPLE + _REPORT + _CHECK),
+    # the ReLU side has no mask and an atomless law; --product-p masks the
+    # product side
+    "jacobian-compare": (_run_jacobian_compare,
+                         ("--widths", "--dist", "--u") + _SAMPLE + _REPORT + _CHECK
+                         + ("--product-p", "--bias-scale", "--x")),
 }
 
 
 def run(config: ExperimentConfig) -> int:
     """Execute the experiment; returns the process exit status."""
-    rows, ok = _RUNNERS[config.subcommand](config)
+    rows, ok = _RUNNERS[config.subcommand][0](config)
     text = _write_rows(config, rows)
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="") as fh:

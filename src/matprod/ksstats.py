@@ -3,7 +3,10 @@ sample summaries.
 
 Each returns only what the CLI prints: a KS report is its statistic and 5%
 critical value, and a summary has the mean, unbiased variance, adjusted
-skewness and the five quantiles of the ``simulate`` table.
+skewness and the five quantiles of the ``simulate`` table.  The KS
+statistics and the summary read samples sorted ascending, as a
+``SampleBatch`` holds them, in place: they raise ``ValueError`` on any other
+order and never sort a copy.
 """
 
 from __future__ import annotations
@@ -28,13 +31,22 @@ def normal_cdf(t: float) -> float:
     return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
+def check_ascending(x, what: str) -> np.ndarray:
+    """x as a float64 array, or ValueError unless it is sorted ascending
+    without NaN (NaN compares false either way)."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(x[1:] >= x[:-1]) or np.isnan(x[-1:]).any():
+        raise ValueError(f"{what} must be sorted ascending, without NaN")
+    return x
+
+
 def one_sample_ks(sorted_samples: np.ndarray, cdf) -> float:
     """Sup distance between the empirical CDF and a reference CDF.
 
     Evaluates both one-sided empirical limits at every sample point, which is
     the exact sup for a right-continuous reference; no grid approximation.
     """
-    x = np.asarray(sorted_samples, dtype=np.float64)
+    x = check_ascending(sorted_samples, "one-sample KS samples")
     if x.size == 0:
         raise EmptyBatch("one-sample KS needs at least one sample")
     n = x.size
@@ -56,20 +68,27 @@ class KSReport:
             raise ValueError(f"KS statistic {self.statistic} outside [0, 1]")
 
 
-def two_sample_ks(a, b) -> KSReport:
-    """Two-sided two-sample KS statistic over the merged support.
+def _largest_gap(points: np.ndarray, other: np.ndarray) -> float:
+    """Largest distance between the empirical CDFs of the sorted arrays
+    points and other, over the values in points."""
+    gap = np.searchsorted(points, points, side="right") / points.size
+    gap -= np.searchsorted(other, points, side="right") / other.size
+    return float(np.abs(gap, out=gap).max())
 
-    The reported 5% critical value is the asymptotic
+
+def two_sample_ks(a, b) -> KSReport:
+    """Two-sided two-sample KS statistic of two sorted samples.
+
+    The CDF difference is a step function that moves only at sample values,
+    so its sup is the larger of its maxima over each side's own values.  The
+    reported 5% critical value is the asymptotic
     ``1.358 * sqrt((m + n) / (m n))``.
     """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
+    a = check_ascending(a, "two-sample KS samples")
+    b = check_ascending(b, "two-sample KS samples")
     if a.size == 0 or b.size == 0:
         raise EmptyBatch("two-sample KS needs nonempty samples on both sides")
-    merged = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, merged, side="right") / a.size
-    cdf_b = np.searchsorted(b, merged, side="right") / b.size
-    stat = float(np.max(np.abs(cdf_a - cdf_b)))
+    stat = max(_largest_gap(a, b), _largest_gap(b, a))
     crit = KS_COEFF_5PCT * math.sqrt((a.size + b.size) / (a.size * b.size))
     return KSReport(statistic=stat, critical_5pct=crit)
 
@@ -104,8 +123,9 @@ def _sorted_quantile(x: np.ndarray, q: float) -> float:
 
 
 def summary(samples) -> SummaryStats:
-    """Mean, unbiased variance, adjusted skewness and interpolated quantiles."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
+    """Mean, unbiased variance, adjusted skewness and interpolated quantiles
+    of samples sorted ascending."""
+    x = check_ascending(samples, "summary samples")
     if x.size < 2:
         raise InsufficientSamples("summary needs at least two samples")
     n = x.size

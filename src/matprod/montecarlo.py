@@ -49,7 +49,8 @@ stream and the output bytes as they are, and a thread holds about one slice
 of weights at a time instead of a ``(CHUNK, n, n)`` block.
 
 The ``MATPROD_THREADS`` environment variable, an integer >= 1, caps worker
-threads; the default is the number of CPUs the process may run on.
+threads; the default is the number of CPUs the process may run on, which
+also caps any thread count asked for.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleConfig, UnitVector
-from .errors import BudgetExceeded, EmptyBatch, InsufficientSamples, UsageError
-from .ksstats import normal_cdf, one_sample_ks
+from .errors import BudgetExceeded, DimensionMismatch, EmptyBatch, InsufficientSamples, UsageError
+from .ksstats import check_ascending, normal_cdf, one_sample_ks
 
 CHUNK = 256
 
@@ -98,12 +99,14 @@ SAMPLER_BUDGET = 10**10
 TRIAL_LAYER_FLOOR = 16
 
 # A sampler call peaks at about this many bytes per trial of each batch: the
-# batch and the statistics taken from it.  chi2-check peaks highest, at 113
-# bytes per trial for its two batches (its two-sample KS holds sorted copies,
-# their merge and two CDFs; peak RSS from 1e6 to 4e6 trials, widths 1,1, one
-# thread).  A batch that would pass BATCH_BYTES is refused before any block
-# runs: at width 1 the draw budget alone admits 6e8 trials.
-BATCH_BYTES_PER_TRIAL = 57
+# batch and the statistics taken from it.  ks-test peaks highest, at 48
+# bytes per trial (its one-sample KS holds the standardized samples, the
+# reference CDF and the two empirical limits; peak RSS from 1e6 to 4e6
+# trials, widths 1,1, one thread), and 48.6 under tracemalloc at 2e5 trials,
+# its fixed cost included.  chi2-check holds 56 for its two batches.  A batch
+# that would pass BATCH_BYTES is refused before any block runs: at width 1
+# the draw budget alone admits 6e8 trials.
+BATCH_BYTES_PER_TRIAL = 49
 BATCH_BYTES = 2 * 1024**3
 
 
@@ -119,6 +122,12 @@ def resolve_threads(threads: int | None = None) -> int:
         if n < 1:
             raise UsageError(f"MATPROD_THREADS must be >= 1, got {n}")
         return n
+    return _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    """The CPUs the process may run on, or the CPU count where the platform
+    does not report affinity."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -141,8 +150,7 @@ class SampleBatch:
         logs = np.asarray(self.logs, dtype=np.float64)
         if logs.ndim != 1:
             raise ValueError("logs must be one-dimensional")
-        if not np.all(logs[1:] >= logs[:-1]) or np.isnan(logs[-1:]).any():
-            raise ValueError("logs must be sorted ascending, without NaN")
+        check_ascending(logs, "logs")
         logs.setflags(write=False)
         object.__setattr__(self, "logs", logs)
 
@@ -317,7 +325,8 @@ def _collect_chunks(trials: int, threads: int | None, chunk_fn) -> SampleBatch:
         logs[c * CHUNK : (c + 1) * CHUNK] = chunk_fn(c)[: trials - c * CHUNK]
 
     indices = range(block_count(trials))
-    workers = min(resolve_threads(threads), len(indices))
+    # a thread beyond the usable CPUs only waits its turn
+    workers = min(resolve_threads(threads), len(indices), _usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, indices))
@@ -342,7 +351,7 @@ def run_trials(
     ``BudgetExceeded`` before any block runs.
     """
     if u.dim != config.widths[0]:
-        raise ValueError(f"u has dim {u.dim}, architecture starts at {config.widths[0]}")
+        raise DimensionMismatch(f"u has dim {u.dim}, architecture starts at {config.widths[0]}")
     check_draws(product_draws(config, u, trials), "product sampler")
     u0 = u.coords
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -14,7 +15,17 @@ import pytest
 
 import matprod
 from matprod import EnsembleConfig, ReluNetConfig, UnitVector
-from matprod.cli import _fmt, _json_value, main, parse_config, parse_widths
+from matprod.cli import (
+    _OPTIONS,
+    _RUN_ONLY,
+    _RUNNERS,
+    _build_parser,
+    _fmt,
+    _json_value,
+    main,
+    parse_config,
+    parse_widths,
+)
 from matprod.errors import UsageError
 from matprod.montecarlo import (
     BATCH_BYTES_PER_TRIAL,
@@ -65,7 +76,7 @@ class TestParsing:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({"widths": "4,4", "p": "0.5", "trials": 10, "seed": 3}))
-        cfg = parse_config(["beta", "--config", str(cfg_file), "--p", "1"])
+        cfg = parse_config(["simulate", "--config", str(cfg_file), "--p", "1"])
         assert cfg.widths == (4, 4)
         assert cfg.p == 1  # flag overrides file
         assert cfg.trials == 10
@@ -93,22 +104,43 @@ class TestParsing:
         assert main(["beta", "--config", "/nonexistent.json", "--widths", "2,2"]) == 2
 
     @pytest.mark.parametrize(
-        "key, value, flags",
+        "subcommand, key, value, flags",
         [
-            ("assert", True, ["--assert"]),
-            ("tolerance", "0.5", ["--tolerance", "0.5"]),
-            ("threads", "2", ["--threads", "2"]),
-            ("bias-scale", 2, ["--bias-scale", "2"]),
-            ("bias_scale", "0.25", ["--bias-scale", "0.25"]),
-            ("dist_pairs", "1:0.5,-1:0.5", ["--dist-pairs", "1:0.5,-1:0.5"]),
-            ("k", 3, ["--k", "3"]),
+            ("jacobian-compare", "assert", True, ["--assert"]),
+            ("jacobian-compare", "tolerance", "0.5", ["--tolerance", "0.5"]),
+            ("jacobian-compare", "threads", "2", ["--threads", "2"]),
+            ("jacobian-compare", "bias-scale", 2, ["--bias-scale", "2"]),
+            ("jacobian-compare", "bias_scale", "0.25", ["--bias-scale", "0.25"]),
+            ("simulate", "dist_pairs", "1:0.5,-1:0.5", ["--dist-pairs", "1:0.5,-1:0.5"]),
+            ("moments", "k", 3, ["--k", "3"]),
         ],
     )
-    def test_config_value_converts_like_its_flag(self, tmp_path, key, value, flags):
+    def test_config_value_converts_like_its_flag(self, tmp_path, subcommand, key, value, flags):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({key: value}))
-        base = ["jacobian-compare", "--widths", "4,4"]
+        base = [subcommand, "--widths", "4,4"]
         assert parse_config(base + ["--config", str(cfg_file)]) == parse_config(base + flags)
+
+    def test_each_subcommand_registers_the_flags_it_reads(self):
+        # 65 (subcommand, flag) pairs: registering every shared flag on
+        # every subcommand made 87, and a quarter of them were read by nothing
+        reads = {
+            "beta": "widths p dist dist-pairs u output format",
+            "simulate": "widths p dist dist-pairs u trials seed threads output format",
+            "moments": "widths p dist dist-pairs u trials seed threads k output format assert",
+            "ks-test": "widths p dist dist-pairs u trials seed threads output format assert "
+                       "tolerance",
+            "chi2-check": "widths p dist u trials seed threads output format assert tolerance",
+            "jacobian-compare": "widths dist u trials seed threads output format assert "
+                                "tolerance product-p bias-scale x",
+        }
+        subparsers = next(action.choices for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert list(subparsers) == list(reads)
+        for name, flags in reads.items():
+            registered = {opt for action in subparsers[name]._actions
+                          for opt in action.option_strings}
+            assert registered == {"-h", "--help", "--config", *("--" + f for f in flags.split())}
 
 
 def run_cli(args, env=None, cwd=None, timeout=None):
@@ -181,26 +213,53 @@ class TestErrorContract:
 
     def test_batch_memory_refused_up_front(self):
         # 16 entries a trial pass the draw budget, but the batch of 6e8
-        # trials is charged about 34 GB
+        # trials is charged about 29 GB
         proc = run_cli(["simulate", "--widths", "1,1", "--p", "1", "--trials", "600000000"],
                        timeout=60)
         assert proc.returncode == 2
         assert proc.stderr == (
-            "matprod: error: a batch of 600000000 trials holds ~3.42e+10 bytes,"
+            "matprod: error: a batch of 600000000 trials holds ~2.94e+10 bytes,"
             " bound is 2.15e+09\n"
         )
+
+    @pytest.mark.parametrize("given_as", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "subcommand, flag, value",
+        [
+            ("jacobian-compare", "--p", "0.9"),
+            ("beta", "--seed", "1"),
+            ("simulate", "--assert", True),
+            ("moments", "--tolerance", "0.1"),
+            ("ks-test", "--k", "3"),
+            ("chi2-check", "--dist-pairs", "1:0.5,-1:0.5"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_exits_2(
+        self, tmp_path, subcommand, flag, value, given_as
+    ):
+        if given_as == "flag":
+            args = [subcommand, "--widths", "4,4", flag] + ([] if value is True else [value])
+        else:
+            (tmp_path / "run.json").write_text(json.dumps({"widths": "4,4", flag[2:]: value}))
+            args = [subcommand, "--config", "run.json"]
+        proc = run_cli(args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert any(line.startswith("matprod: error: ") for line in proc.stderr.splitlines())
+        assert "Traceback" not in proc.stderr
+        if given_as == "config":
+            assert f"which {subcommand} does not read" in proc.stderr
 
     @pytest.mark.parametrize(
         "args, config, message",
         [
-            (["beta"], {"widths": "4,4", "seed": "abc"}, "--seed"),
+            (["simulate"], {"widths": "4,4", "seed": "abc"}, "--seed"),
             (["simulate", "--trials", "10"], {"widths": "4,4", "threads": "two"}, "--threads"),
             (["ks-test", "--trials", "300"], {"widths": "4,4", "tolerance": "half"}, "--tolerance"),
-            (["beta"], {"widths": "4,4", "seed": 3.7}, "--seed"),
+            (["simulate"], {"widths": "4,4", "seed": 3.7}, "--seed"),
             (["simulate", "--widths", "4,4", "--trials", "10", "--seed", "-1"], None, "--seed"),
             (["simulate", "--widths", "4,4", "--trials", "10", "--threads", "0"], None, "--threads"),
             (["simulate"], {"widths": "4,4", "trails": 5}, "'trails'"),
-            (["simulate"], {"widths": "4,4", "assert": "yes"}, "--assert"),
+            (["moments"], {"widths": "4,4", "assert": "yes"}, "--assert"),
             (["beta", "--widths", "2,2", "--u", "text.txt"], None, "--u"),
             (["beta", "--widths", "2,2", "--u", "huge.txt"], None, "--u"),
             (["beta", "--widths", "2,2", "--u", "sum.txt"], None, "--u file norm inf"),
@@ -223,12 +282,15 @@ class TestErrorContract:
             (["jacobian-compare", "--widths", "4x3", "--trials", "200",
               "--product-p", "1e-400"], None,
              "--product-p must be at least the smallest normal double"),
+            (["simulate", "--widths", "4x3", "--trials", "50", "--dist", "gaussian",
+              "--dist-pairs", "1:0.5,-1:0.5"], None, "--dist-pairs needs --dist discrete"),
         ],
         ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
              "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow",
              "u-file-sum-overflow", "ks-test-no-samples", "chi2-check-one-sample",
              "tolerance-nan", "tolerance-negative", "beta-squared-overflow",
-             "beta-overflow", "simulate-beta-overflow", "p-subnormal", "product-p-subnormal"],
+             "beta-overflow", "simulate-beta-overflow", "p-subnormal", "product-p-subnormal",
+             "dist-pairs-without-discrete"],
     )
     def test_bad_input_exits_2(self, tmp_path, args, config, message):
         (tmp_path / "text.txt").write_text("0.6 zebra\n")
@@ -243,6 +305,55 @@ class TestErrorContract:
         assert proc.stderr.startswith("matprod: error: ")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# For each flag that can change a subcommand's rows: its value in a tiny
+# base call, then a second value.  The uniform law's fourth moment is not 3,
+# so beta depends on u.
+ROW_VALUES = {
+    "--widths": ("3,4", "3,5"),
+    "--p": ("1", "0.5"),
+    "--dist": ("uniform", "gaussian"),
+    "--dist-pairs": ("2:0.1,-2:0.1,0.5:0.4,-0.5:0.4",
+                     "1.5:0.1875,-1.5:0.1875,0.5:0.3125,-0.5:0.3125"),
+    "--u": ("e1", "uniform"),
+    "--trials": ("200", "300"),
+    "--seed": ("1", "2"),
+    "--k": ("1,2", "3"),
+    "--product-p": ("0.5", "0.9"),
+    "--bias-scale": ("1", "0.5"),
+    "--x": ("ones", "e1"),
+}
+# chi2-check accepts --dist gaussian and --p 1 alone
+FIXED_FLAGS = {("chi2-check", "--dist"), ("chi2-check", "--p")}
+ROW_FLAGS = [
+    (name, flag)
+    for name, (_, reads) in _RUNNERS.items()
+    for flag in reads
+    if _OPTIONS[flag][0] not in _RUN_ONLY and (name, flag) not in FIXED_FLAGS
+]
+
+
+class TestNoIgnoredFlags:
+    @pytest.mark.parametrize("subcommand, flag", ROW_FLAGS, ids=map("".join, ROW_FLAGS))
+    def test_flag_changes_the_rows(self, tmp_path, subcommand, flag):
+        # a flag a subcommand accepts but ignores would leave the rows as
+        # they are while it changed the fingerprint
+        reads = _RUNNERS[subcommand][1]
+        base = {f: first for f, (first, _) in ROW_VALUES.items()
+                if f in reads and (subcommand, f) not in FIXED_FLAGS}
+        if flag == "--dist-pairs":
+            base["--dist"] = "discrete"
+        else:
+            base.pop("--dist-pairs", None)
+
+        def rows(values):
+            out = tmp_path / "o.csv"
+            argv = [subcommand, *(text for item in values.items() for text in item)]
+            assert main(argv + ["--output", str(out)]) == 0
+            return out.read_text().splitlines()[1:]
+
+        assert rows(base) != rows({**base, flag: ROW_VALUES[flag][1]})
 
 
 class TestBatchMemory:

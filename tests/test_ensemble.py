@@ -129,6 +129,8 @@ class TestComputeBeta:
         cfg = EnsembleConfig((3, 3), 1, gauss)
         with pytest.raises(DimensionMismatch):
             compute_beta(cfg, UnitVector.basis(4))
+        with pytest.raises(DimensionMismatch):
+            run_trials(cfg, UnitVector.basis(4), 10, seed=0)
 
 
 class TestPropagation:

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from collections import Counter, defaultdict
 from fractions import Fraction as F
@@ -119,6 +120,35 @@ class TestRunTrials:
         threaded = run_trials(cfg, u, 4000, seed=4, threads=8)
         assert np.array_equal(serial.samples, threaded.samples)
         assert serial.zero_event_count == threaded.zero_event_count
+
+    def test_workers_capped_at_usable_cpus(self, gauss, monkeypatch):
+        # a thread beyond the CPUs the process may run on only waits its
+        # turn; the recording pool runs the blocks in order and starts none
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        cfg, u = EnsembleConfig((1, 1), 1, gauss), UnitVector.basis(1)
+        serial = run_trials(cfg, u, 10 * CHUNK, seed=0, threads=1)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        capped = run_trials(cfg, u, 10 * CHUNK, seed=0, threads=10_000)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        run_trials(cfg, u, 10 * CHUNK, seed=0, threads=10_000)
+        assert pools == [3, 4]
+        assert np.array_equal(capped.logs, serial.logs)
 
     def test_merge_property(self, gauss):
         # trial t's outcome depends on (seed, config, t) alone, so the first
@@ -445,7 +475,7 @@ class TestChiSquareSampler:
         # every factor is twice a gamma variate of shape n/2 (1/2 at n = 1);
         # its law must be that of a sum of n squared standard normals
         batch = chi_square_product_sampler((n,), 20_000, seed=3)
-        ref = scipy.stats.chi2(df=n).rvs(size=20_000, random_state=11)
+        ref = np.sort(scipy.stats.chi2(df=n).rvs(size=20_000, random_state=11))
         report = two_sample_ks(np.exp(batch.samples) * n, ref)
         assert report.statistic < 2 * report.critical_5pct
 

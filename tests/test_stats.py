@@ -61,7 +61,7 @@ class TestOneSampleKs:
 
 class TestTwoSampleKs:
     def test_identical_multisets(self):
-        report = two_sample_ks([3.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        report = two_sample_ks([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert report.statistic == 0.0
 
     def test_disjoint_supports(self):
@@ -73,20 +73,20 @@ class TestTwoSampleKs:
         assert report.critical_5pct == pytest.approx(1.358 * math.sqrt(8 / 16))
 
     def test_symmetry(self, rng):
-        a = rng.standard_normal(40)
-        b = rng.standard_normal(60) + 0.3
+        a = np.sort(rng.standard_normal(40))
+        b = np.sort(rng.standard_normal(60)) + 0.3
         assert two_sample_ks(a, b).statistic == two_sample_ks(b, a).statistic
 
     def test_invariant_under_monotone_transform(self, rng):
-        a = rng.standard_normal(50)
-        b = rng.standard_normal(50) * 1.4
+        a = np.sort(rng.standard_normal(50))
+        b = np.sort(rng.standard_normal(50)) * 1.4
         base = two_sample_ks(a, b).statistic
         for transform in (np.exp, np.arctan, lambda t: t**3):
             assert two_sample_ks(transform(a), transform(b)).statistic == pytest.approx(base)
 
     def test_agrees_with_reference(self, rng):
-        a = rng.standard_normal(321)
-        b = rng.standard_normal(123) * 1.2 - 0.1
+        a = np.sort(rng.standard_normal(321))
+        b = np.sort(rng.standard_normal(123)) * 1.2 - 0.1
         ours = two_sample_ks(a, b).statistic
         ref = scipy.stats.ks_2samp(a, b, method="asymp").statistic
         assert ours == pytest.approx(ref, abs=1e-12)
@@ -95,8 +95,36 @@ class TestTwoSampleKs:
         with pytest.raises(EmptyBatch):
             two_sample_ks([], [1.0])
 
+    def test_equals_merged_support_evaluation(self, rng):
+        # the reference evaluates both CDFs at every point of the merged
+        # samples; each side's own points give the same maximum, bit for bit
+        def merged_reference(a, b):
+            merged = np.concatenate([a, b])
+            cdf_a = np.searchsorted(a, merged, side="right") / a.size
+            cdf_b = np.searchsorted(b, merged, side="right") / b.size
+            return float(np.max(np.abs(cdf_a - cdf_b)))
+
+        for _ in range(200):
+            m, n, support = rng.integers(1, 60, size=3)
+            a = np.sort(rng.integers(0, support, size=m) / 3.0)
+            b = np.sort(rng.integers(0, support, size=n) / 3.0)
+            assert two_sample_ks(a, b).statistic == merged_reference(a, b)
+
     def test_critical_value_scale(self):
         assert one_sample_critical_5pct(100) == pytest.approx(0.1358)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda x: one_sample_ks(x, normal_cdf), lambda x: two_sample_ks(x, [0.0]),
+     lambda x: two_sample_ks([0.0], x), summary],
+    ids=["one-sample", "two-sample-left", "two-sample-right", "summary"],
+)
+def test_unsorted_samples_rejected(call):
+    # the statistics read a sorted batch in place and never sort a copy
+    for x in ([1.0, 0.0, 2.0], [0.0, np.nan], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="sorted ascending"):
+            call(np.array(x))
 
 
 class TestSummary:
@@ -111,7 +139,7 @@ class TestSummary:
         assert stats.variance == pytest.approx(2.0)
 
     def test_against_reference(self, rng):
-        x = rng.standard_normal(5000) * 2 + 1
+        x = np.sort(rng.standard_normal(5000)) * 2 + 1
         stats = summary(x)
         assert stats.mean == pytest.approx(float(np.mean(x)))
         assert stats.variance == pytest.approx(float(np.var(x, ddof=1)))
@@ -127,7 +155,7 @@ class TestSummary:
             [2.0] * 7 + [5.0] * 6 + [-1.0] * 8,  # ties; h = 20q is integer
             [1e-12, 1e12, -7.5, 0.1, 0.2, 0.3, 1.0 / 3.0],
         ] + [rng.standard_normal(n) * 3.0 for n in (3, 10, 101, 1234)]
-        for x in map(np.array, cases):
+        for x in map(np.sort, cases):
             for q, value in summary(x).quantiles.items():
                 assert value == float(np.quantile(x, q))
 
