@@ -62,10 +62,9 @@ from .pathsum import (
 # of the package together, so its modules and their names below load on
 # first access (PEP 562).
 _LAZY_MODULES = {
-    "ksstats": ("KSReport", "SummaryStats", "normal_cdf", "one_sample_critical_5pct",
-                "one_sample_ks", "summary", "two_sample_ks"),
+    "ksstats": ("KSReport", "SummaryStats", "one_sample_ks", "summary", "two_sample_ks"),
     "montecarlo": ("MomentEstimate", "SampleBatch", "chi_square_product_sampler",
-                   "empirical_moment", "ks_to_gaussian", "run_trials"),
+                   "empirical_moment", "run_trials"),
     "relunets": ("ReluNetConfig",),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}

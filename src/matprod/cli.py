@@ -530,15 +530,18 @@ def _run_moments(config: ExperimentConfig):
 
 
 def _run_ks_test(config: ExperimentConfig):
-    from .ksstats import one_sample_critical_5pct
-    from .montecarlo import ks_to_gaussian, run_trials
+    from .ksstats import one_sample_ks
+    from .montecarlo import run_trials
 
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
+    if params.beta <= 0.0:
+        # the limit is then a point mass, and the KS sup is exact only
+        # against a continuous reference
+        raise UsageError(f"ks-test needs beta > 0, got beta = {params.beta:.6g}")
     batch = run_trials(ens, u, config.trials, config.seed, threads=config.threads)
-    stat = ks_to_gaussian(batch, params.predicted_mean, params.predicted_variance)
-    critical = one_sample_critical_5pct(batch.samples.size)
-    threshold = config.tolerance if config.tolerance is not None else critical
+    report = one_sample_ks(batch.samples, params.cdf)
+    threshold = config.tolerance if config.tolerance is not None else report.critical_5pct
     rows = [{
         "trials": batch.trials,
         "samples": batch.samples.size,
@@ -546,18 +549,18 @@ def _run_ks_test(config: ExperimentConfig):
         "beta": params.beta,
         "ref_mean": params.predicted_mean,
         "ref_variance": params.predicted_variance,
-        "ks_statistic": stat,
-        "critical_5pct": critical,
+        "ks_statistic": report.statistic,
+        "critical_5pct": report.critical_5pct,
         "threshold": threshold,
     }]
-    return rows, stat <= threshold
+    return rows, report.statistic <= threshold
 
 
 def _run_chi2_check(config: ExperimentConfig):
     if config.dist != "gaussian" or config.p != 1:
         raise UsageError("chi2-check requires --dist gaussian and --p 1")
-    from .ksstats import one_sample_critical_5pct, summary, two_sample_ks
-    from .montecarlo import chi_square_product_sampler, ks_to_gaussian, run_trials
+    from .ksstats import one_sample_ks, summary, two_sample_ks
+    from .montecarlo import chi_square_product_sampler, run_trials
 
     ens, u = _ensemble(config)
     params = compute_beta(ens, u)
@@ -566,7 +569,7 @@ def _run_chi2_check(config: ExperimentConfig):
         config.widths[1:], config.trials, config.seed, threads=config.threads
     )
     report = two_sample_ks(product.samples, reference.samples)
-    ks_normal = ks_to_gaussian(product, params.predicted_mean, params.predicted_variance)
+    ks_normal = one_sample_ks(product.samples, params.cdf)
     stats = summary(product.samples)
     threshold = config.tolerance if config.tolerance is not None else report.critical_5pct
     rows = [{
@@ -574,8 +577,8 @@ def _run_chi2_check(config: ExperimentConfig):
         "zero_events": product.zero_event_count,
         "two_sample_ks": report.statistic,
         "two_sample_critical": report.critical_5pct,
-        "ks_vs_normal": ks_normal,
-        "one_sample_critical": one_sample_critical_5pct(product.samples.size),
+        "ks_vs_normal": ks_normal.statistic,
+        "one_sample_critical": ks_normal.critical_5pct,
         "mean": stats.mean,
         "variance": stats.variance,
         "skewness": stats.skewness,
@@ -595,8 +598,6 @@ def _run_jacobian_compare(config: ExperimentConfig):
     from .relunets import ReluNetConfig, jacobian_batch, jacobian_draws
 
     ens, u = _ensemble(config)
-    if not ens.entry_law.atomless:
-        raise UsageError("jacobian-compare needs an atomless --dist")
     net = ReluNetConfig(ens.widths, ens.entry_law, config.bias_scale)
     x = resolve_x(config.x, config.widths[0])
     # the product side: same widths and law; --product-p away from 1/2 is a

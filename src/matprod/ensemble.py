@@ -4,7 +4,8 @@
 mask probability p and the entry law.  ``checked_widths`` is its widths
 check, which ``relunets.ReluNetConfig`` shares.  ``UnitVector`` is the fixed
 starting vector u.  The closed forms are the variance parameter beta
-(``compute_beta``) and the raw error budget of the normal approximation
+(``compute_beta``), whose ``BetaParams`` also gives the limiting normal law's
+CDF, and the raw error budget of the normal approximation
 (``error_budget``).
 
 The model: a product of depth-many random matrices, each the composition of a
@@ -172,6 +173,12 @@ class BetaParams:
     @property
     def predicted_variance(self) -> float:
         return self.beta
+
+    def cdf(self, x: float) -> float:
+        """CDF of the limiting law Normal(-beta/2, beta) at x; beta must be
+        positive."""
+        z = (x - self.predicted_mean) * (1.0 / math.sqrt(self.beta))
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def compute_beta(config: EnsembleConfig, u: UnitVector) -> BetaParams:

@@ -63,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleConfig, UnitVector
-from .errors import BudgetExceeded, DimensionMismatch, EmptyBatch, InsufficientSamples, UsageError
-from .ksstats import check_ascending, normal_cdf, one_sample_ks
+from .errors import BudgetExceeded, DimensionMismatch, InsufficientSamples, UsageError
+from .ksstats import check_ascending
 
 CHUNK = 256
 
@@ -95,18 +95,20 @@ SAMPLER_BUDGET = 10**10
 # A narrow layer costs more than its entries: numpy's per-call overhead makes
 # one trial of a width-1 layer take about 0.08 us of CPU (a ReLU-net Jacobian
 # 0.13 us) at depths 8-32, one thread, 51,200 trials; this floor, 0.24 us at
-# the cost above, covers both.  Each trial-layer is charged at least this many.
+# the cost above, covers both.  Each trial-layer is charged at least this many,
+# and so is each trial-width of the chi-square sampler, whose gamma variate
+# and log take 30-55 ns at widths 16 and 64 (one thread).
 TRIAL_LAYER_FLOOR = 16
 
 # A sampler call peaks at about this many bytes per trial of each batch: the
-# batch and the statistics taken from it.  ks-test peaks highest, at 48
-# bytes per trial (its one-sample KS holds the standardized samples, the
-# reference CDF and the two empirical limits; peak RSS from 1e6 to 4e6
-# trials, widths 1,1, one thread), and 48.6 under tracemalloc at 2e5 trials,
-# its fixed cost included.  chi2-check holds 56 for its two batches.  A batch
+# batch and the statistics taken from it.  ks-test and simulate peak highest,
+# at 25 bytes per trial (the one-sample KS holds the reference CDF and one
+# work array, the summary its centered temporaries; peak RSS from 1e6 to 4e6
+# trials, widths 1,1, one thread), and 24.4 under tracemalloc at 2e5 trials,
+# fixed cost included.  chi2-check holds 40 for its two batches.  A batch
 # that would pass BATCH_BYTES is refused before any block runs: at width 1
 # the draw budget alone admits 6e8 trials.
-BATCH_BYTES_PER_TRIAL = 49
+BATCH_BYTES_PER_TRIAL = 25
 BATCH_BYTES = 2 * 1024**3
 
 
@@ -377,21 +379,6 @@ def empirical_moment(batch: SampleBatch, k: int) -> MomentEstimate:
     return MomentEstimate(estimate=mean, stderr=math.sqrt(var / n))
 
 
-def ks_to_gaussian(batch: SampleBatch, mean: float, variance: float) -> float:
-    """One-sample KS distance of the batch to Normal(mean, variance).
-
-    Zero events (log -inf) are excluded here; their count stays on the
-    batch for separate reporting.
-    """
-    if batch.samples.size == 0:
-        raise EmptyBatch("KS statistic needs at least one sample")
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
-    scale = 1.0 / math.sqrt(variance)
-    z = (batch.samples - mean) * scale
-    return one_sample_ks(z, normal_cdf)
-
-
 def _chi2_chunk(widths, rng: np.random.Generator):
     logs = np.zeros(CHUNK)
     for n in widths:
@@ -408,11 +395,16 @@ def chi_square_product_sampler(
     """Samples of the log of a product of independent chi-square/dof ratios.
 
     One factor per width, each drawn as twice a gamma variate of shape
-    dof/2; an empty width list gives identically zero samples.
+    dof/2; an empty width list gives identically zero samples.  Each
+    trial-width is charged ``TRIAL_LAYER_FLOOR`` entries, and a call charged
+    more than ``SAMPLER_BUDGET`` raises ``BudgetExceeded`` before any block
+    runs.
     """
     widths = tuple(int(n) for n in widths)
     if any(n < 1 for n in widths):
         raise ValueError("widths must be positive")
+    draws = block_count(trials) * CHUNK * len(widths) * TRIAL_LAYER_FLOOR
+    check_draws(draws, "chi-square sampler")
 
     def chunk_fn(index: int):
         rng = chunk_stream(seed, DOMAIN_CHI2, index)

@@ -211,14 +211,25 @@ class TestErrorContract:
             "matprod: error: Jacobian comparison draws ~1.17e+10 entries, budget is 1e+10\n"
         )
 
+    def test_point_mass_limit_refused_before_sampling(self, monkeypatch, capsys):
+        # beta = 0: every sample is the same, so no KS against the limit
+        def no_blocks(*args, **kwargs):
+            raise AssertionError("ks-test sampled a beta = 0 ensemble")
+
+        monkeypatch.setattr(matprod.montecarlo, "run_trials", no_blocks)
+        args = ["ks-test", "--widths", "3,4", "--dist", "rademacher", "--u", "e1",
+                "--trials", "200"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "matprod: error: ks-test needs beta > 0, got beta = 0\n"
+
     def test_batch_memory_refused_up_front(self):
         # 16 entries a trial pass the draw budget, but the batch of 6e8
-        # trials is charged about 29 GB
+        # trials is charged about 15 GB
         proc = run_cli(["simulate", "--widths", "1,1", "--p", "1", "--trials", "600000000"],
                        timeout=60)
         assert proc.returncode == 2
         assert proc.stderr == (
-            "matprod: error: a batch of 600000000 trials holds ~2.94e+10 bytes,"
+            "matprod: error: a batch of 600000000 trials holds ~1.5e+10 bytes,"
             " bound is 2.15e+09\n"
         )
 
@@ -264,7 +275,11 @@ class TestErrorContract:
             (["beta", "--widths", "2,2", "--u", "huge.txt"], None, "--u"),
             (["beta", "--widths", "2,2", "--u", "sum.txt"], None, "--u file norm inf"),
             (["ks-test", "--widths", "3,3", "--trials", "0"], None,
-             "KS statistic needs at least one sample"),
+             "one-sample KS needs at least one sample"),
+            (["ks-test", "--widths", "3,4", "--dist", "rademacher", "--u", "e1",
+              "--trials", "200"], None, "ks-test needs beta > 0, got beta = 0"),
+            (["jacobian-compare", "--widths", "4x3", "--dist", "rademacher", "--trials", "200"],
+             None, "weight law must be atomless"),
             (["chi2-check", "--widths", "3,3", "--trials", "1"], None,
              "summary needs at least two samples"),
             (["ks-test", "--widths", "4,4", "--trials", "300", "--tolerance", "nan", "--assert"],
@@ -287,7 +302,8 @@ class TestErrorContract:
         ],
         ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
              "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow",
-             "u-file-sum-overflow", "ks-test-no-samples", "chi2-check-one-sample",
+             "u-file-sum-overflow", "ks-test-no-samples", "ks-test-beta-zero",
+             "jacobian-compare-atomic-law", "chi2-check-one-sample",
              "tolerance-nan", "tolerance-negative", "beta-squared-overflow",
              "beta-overflow", "simulate-beta-overflow", "p-subnormal", "product-p-subnormal",
              "dist-pairs-without-discrete"],
@@ -703,8 +719,7 @@ PUBLIC_NAMES = [
     "brute_force_moment", "chi_square_product_sampler",
     "compute_beta", "discrete_symmetric", "distributions",
     "empirical_moment", "ensemble", "error_budget", "errors", "exact_moment",
-    "ks_to_gaussian", "ksstats", "law_from_name", "montecarlo", "normal_cdf",
-    "one_sample_critical_5pct", "one_sample_ks", "pathsum",
+    "ksstats", "law_from_name", "montecarlo", "one_sample_ks", "pathsum",
     "rademacher", "relunets", "run_trials", "standard_gaussian", "summary", "theory_moment",
     "two_sample_ks", "uniform_symmetric", "validate_distribution",
 ]

@@ -18,7 +18,6 @@ from matprod import (
     chi_square_product_sampler,
     discrete_symmetric,
     empirical_moment,
-    ks_to_gaussian,
     rademacher,
     run_trials,
     two_sample_ks,
@@ -433,24 +432,6 @@ class TestEmpiricalMoment:
         assert abs(estimate.estimate - 1.0) <= 5 * estimate.stderr
 
 
-class TestKsToGaussian:
-    def test_single_sample_at_median(self):
-        batch = manual_batch([-1.0])
-        assert ks_to_gaussian(batch, -1.0, 4.0) == pytest.approx(0.5)
-
-    def test_affine_invariance(self, gauss):
-        cfg = EnsembleConfig((16, 16, 16), 1, gauss)
-        batch = run_trials(cfg, UnitVector.uniform(16), 2000, seed=8)
-        direct = ks_to_gaussian(batch, -0.1, 0.25)
-        standardized = manual_batch((batch.samples + 0.1) / 0.5)
-        assert ks_to_gaussian(standardized, 0.0, 1.0) == pytest.approx(direct, abs=1e-12)
-
-    def test_empty_rejected(self):
-        batch = manual_batch([], zero_events=3)
-        with pytest.raises(EmptyBatch):
-            ks_to_gaussian(batch, 0.0, 1.0)
-
-
 class TestChiSquareSampler:
     def test_empty_width_list(self):
         batch = chi_square_product_sampler((), 100, seed=0)
@@ -521,6 +502,33 @@ class TestSamplerGuard:
         draws = montecarlo.product_draws(cfg, UnitVector.uniform(64), 100_000)
         assert draws == 391 * 256 * 16 * 64 * 64
         assert draws <= montecarlo.SAMPLER_BUDGET
+
+    @staticmethod
+    def record_chi2_blocks(monkeypatch):
+        calls = []
+
+        def chunk(widths, rng):
+            calls.append(len(widths))
+            return np.zeros(CHUNK)
+
+        monkeypatch.setattr(montecarlo, "_chi2_chunk", chunk)
+        return calls
+
+    def test_acceptance_chi2_reference_is_admitted(self, monkeypatch):
+        # chi2-check --widths 64x16 --trials 100000 draws its reference from
+        # 391 blocks of 256 trials, 16 widths each charged the floor
+        calls = self.record_chi2_blocks(monkeypatch)
+        assert 391 * 256 * 16 * montecarlo.TRIAL_LAYER_FLOOR <= montecarlo.SAMPLER_BUDGET
+        chi_square_product_sampler((64,) * 16, 100_000, seed=0, threads=1)
+        assert calls == [16] * 391
+
+    def test_chi_square_sampler_refused_up_front(self, monkeypatch):
+        # 1e5 widths of 1 pass the batch bound at 1e5 trials, but would draw
+        # 1e10 gamma variates; each trial-width is charged the floor
+        calls = self.record_chi2_blocks(monkeypatch)
+        with pytest.raises(BudgetExceeded, match=r"^chi-square sampler draws ~1.6e\+11"):
+            chi_square_product_sampler((1,) * 10**5, 10**5, seed=0)
+        assert calls == []
 
     def test_minutes_of_sampling_refused_up_front(self, gauss):
         # moments --widths 1000x120 --trials 2: one block, 120 layers of

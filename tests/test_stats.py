@@ -6,57 +6,120 @@ import scipy.special
 import scipy.stats
 
 from matprod import (
+    BetaParams,
     EmptyBatch,
     InsufficientSamples,
-    normal_cdf,
-    one_sample_critical_5pct,
     one_sample_ks,
     summary,
     two_sample_ks,
 )
 
 
-class TestNormalCdf:
-    def test_center(self):
-        assert normal_cdf(0.0) == 0.5
-        assert normal_cdf(-0.0) == 0.5
+def normal_cdf(t):
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
-    def test_975_quantile(self):
-        assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
 
-    def test_agrees_with_reference(self):
-        grid = np.linspace(-8, 8, 1601)
-        ours = np.array([normal_cdf(t) for t in grid])
-        ref = scipy.special.ndtr(grid)
+def limit_law(beta):
+    return BetaParams(beta=beta, term_width=beta, term_fourth=0.0)
+
+
+BETAS = [1e-3, 0.25, 1.25, 4.0, 37.5]
+
+
+class TestLimitLawCdf:
+    # BetaParams.cdf is the CDF of the limiting law Normal(-beta/2, beta)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_center(self, beta):
+        params = limit_law(beta)
+        assert params.cdf(params.predicted_mean) == 0.5
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_agrees_with_reference(self, beta):
+        params = limit_law(beta)
+        grid = params.predicted_mean + math.sqrt(beta) * np.linspace(-8, 8, 1601)
+        ours = np.array([params.cdf(x) for x in grid])
+        ref = scipy.stats.norm(-beta / 2, math.sqrt(beta)).cdf(grid)
         assert float(np.max(np.abs(ours - ref))) < 1e-12
 
-    def test_symmetry(self):
-        for t in np.linspace(-10, 10, 101):
-            assert normal_cdf(t) + normal_cdf(-t) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_symmetry(self, beta):
+        params = limit_law(beta)
+        for t in math.sqrt(beta) * np.linspace(-10, 10, 101):
+            total = params.cdf(params.predicted_mean + t) + params.cdf(params.predicted_mean - t)
+            assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_monotone(self):
-        grid = np.linspace(-12, 12, 501)
-        vals = [normal_cdf(t) for t in grid]
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_monotone(self, beta):
+        params = limit_law(beta)
+        grid = params.predicted_mean + math.sqrt(beta) * np.linspace(-12, 12, 501)
+        vals = [params.cdf(x) for x in grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_standardizes_then_applies_the_normal_cdf(self, rng):
+        # the order the KS statistics were taken in: scale by 1/sqrt(beta),
+        # then the standard normal CDF, so they keep their last digits
+        params = limit_law(1.25)
+        for x in rng.standard_normal(200) * 2:
+            z = (x - params.predicted_mean) * (1.0 / math.sqrt(params.beta))
+            assert params.cdf(x) == normal_cdf(z)
 
 
 class TestOneSampleKs:
     def test_single_point_at_median(self):
-        assert one_sample_ks(np.array([0.0]), normal_cdf) == pytest.approx(0.5)
+        report = one_sample_ks(np.array([0.0]), normal_cdf)
+        assert report.statistic == pytest.approx(0.5)
+        assert report.critical_5pct == pytest.approx(1.358)
+
+    def test_single_sample_at_the_limit_laws_median(self):
+        assert one_sample_ks(np.array([-1.0]), limit_law(2.0).cdf).statistic == 0.5
 
     def test_plug_in_quantiles(self):
         n = 1000
         levels = (2 * np.arange(1, n + 1) - 1) / (2 * n)
         samples = scipy.special.ndtri(levels)
-        assert one_sample_ks(samples, normal_cdf) <= 1 / (2 * n) + 1e-9
+        assert one_sample_ks(samples, normal_cdf).statistic <= 1 / (2 * n) + 1e-9
 
     def test_far_tail_mass(self):
         samples = np.full(50, 40.0)
-        assert one_sample_ks(samples, normal_cdf) == pytest.approx(1.0, abs=1e-9)
+        assert one_sample_ks(samples, normal_cdf).statistic == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyBatch):
             one_sample_ks(np.array([]), normal_cdf)
+
+    def test_affine_invariance(self, rng):
+        params = limit_law(0.25)
+        samples = np.sort(rng.standard_normal(2000) * 0.6 - 0.2)
+        direct = one_sample_ks(samples, params.cdf)
+        standardized = one_sample_ks((samples + 0.125) / 0.5, normal_cdf)
+        assert standardized.statistic == pytest.approx(direct.statistic, abs=1e-12)
+        assert standardized.critical_5pct == direct.critical_5pct
+
+    def test_agrees_with_reference(self, rng):
+        samples = np.sort(rng.standard_normal(321) * 1.1 + 0.05)
+        ours = one_sample_ks(samples, normal_cdf).statistic
+        ref = scipy.stats.kstest(samples, scipy.stats.norm.cdf, method="asymp").statistic
+        assert ours == pytest.approx(ref, abs=1e-12)
+
+    def test_equals_the_one_sided_limits(self, rng):
+        # the reference builds both one-sided gaps whole; the work array
+        # gives the same maximum, bit for bit
+        def reference(x, cdf):
+            n = x.size
+            ref = np.array([cdf(t) for t in x])
+            return float(max((np.arange(1, n + 1) / n - ref).max(),
+                             (ref - np.arange(n) / n).max()))
+
+        for _ in range(50):
+            n, support = rng.integers(1, 400, size=2)
+            x = np.sort(rng.integers(0, support, size=n) / 7.0 - support / 14.0)
+            assert one_sample_ks(x, normal_cdf).statistic == reference(x, normal_cdf)
+
+    def test_critical_value_scale(self):
+        report = one_sample_ks(np.linspace(-1, 1, 100), normal_cdf)
+        assert report.critical_5pct == pytest.approx(0.1358)
 
 
 class TestTwoSampleKs:
@@ -109,9 +172,6 @@ class TestTwoSampleKs:
             a = np.sort(rng.integers(0, support, size=m) / 3.0)
             b = np.sort(rng.integers(0, support, size=n) / 3.0)
             assert two_sample_ks(a, b).statistic == merged_reference(a, b)
-
-    def test_critical_value_scale(self):
-        assert one_sample_critical_5pct(100) == pytest.approx(0.1358)
 
 
 @pytest.mark.parametrize(
