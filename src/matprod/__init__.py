@@ -30,7 +30,6 @@ from .distributions import (
     rademacher,
     standard_gaussian,
     uniform_symmetric,
-    validate_distribution,
 )
 from .ensemble import (
     BetaParams,
@@ -45,7 +44,6 @@ from .errors import (
     AtomicLawError,
     BudgetExceeded,
     DimensionMismatch,
-    EmptyBatch,
     FloatRangeError,
     InsufficientSamples,
     MatprodError,

@@ -91,31 +91,22 @@ class ExperimentConfig:
 
 
 def parse_widths(text: str) -> tuple[int, ...]:
-    """Expand the width list; ``NxD`` appends D copies of N after the first width."""
+    """Expand the width list; N appends N, and NxD D copies of N after the first width."""
     out: list[int] = []
     for token in str(text).split(","):
         token = token.strip()
         if not token:
             raise UsageError(f"--widths has an empty entry in {text!r}")
-        if "x" in token:
-            try:
-                n_str, d_str = token.split("x")
-                n, d = int(n_str), int(d_str)
-            except ValueError:
-                raise UsageError(f"--widths entry {token!r} is not N or NxD") from None
-            if n < 1 or d < 1:
-                raise UsageError(f"--widths entry {token!r} must be positive")
-            if not out:
-                out.append(n)
-            out.extend([n] * d)
-        else:
-            try:
-                n = int(token)
-            except ValueError:
-                raise UsageError(f"--widths entry {token!r} is not an integer") from None
-            if n < 1:
-                raise UsageError(f"--widths entry {token!r} must be positive")
+        n_text, x, d_text = token.partition("x")
+        try:
+            n, d = int(n_text), int(d_text) if x else 1
+        except ValueError:
+            raise UsageError(f"--widths entry {token!r} is not N or NxD") from None
+        if n < 1 or d < 1:
+            raise UsageError(f"--widths entry {token!r} must be positive")
+        if x and not out:
             out.append(n)
+        out.extend([n] * d)
     if len(out) < 2:
         raise UsageError("--widths needs at least an input and one layer width")
     return tuple(out)
@@ -290,16 +281,12 @@ def resolve_u(spec: str, dim: int) -> UnitVector:
 
 
 def resolve_x(spec: str, dim: int) -> np.ndarray:
+    if spec == "ones":
+        return UnitVector.uniform(dim).coords
+    if spec == "e1":
+        return UnitVector.basis(dim).coords
     import numpy as np
 
-    from .relunets import default_input
-
-    if spec == "ones":
-        return default_input(dim)
-    if spec == "e1":
-        x = np.zeros(dim)
-        x[0] = 1.0
-        return x
     return np.array(_load_coords(spec, dim, "--x", "ones, e1"))
 
 
@@ -461,7 +448,7 @@ def _run_simulate(config: ExperimentConfig):
         "q95": quantiles.get(0.95),
         "beta": params.beta,
         "predicted_mean": params.predicted_mean,
-        "predicted_variance": params.predicted_variance,
+        "predicted_variance": params.beta,
         "reason": None if stats else "fewer than two surviving samples",
     }]
     return rows, True
@@ -548,7 +535,7 @@ def _run_ks_test(config: ExperimentConfig):
         "zero_events": batch.zero_event_count,
         "beta": params.beta,
         "ref_mean": params.predicted_mean,
-        "ref_variance": params.predicted_variance,
+        "ref_variance": params.beta,
         "ks_statistic": report.statistic,
         "critical_5pct": report.critical_5pct,
         "threshold": threshold,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -29,6 +30,20 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def _shown(q: Fraction) -> str:
+    """q as a refusal prints it: exactly while its numerator and denominator
+    are below 10**20, else after a ``~`` to 6 significant digits."""
+    n, d = q.numerator, q.denominator
+    if max(abs(n), d) < 10**20:
+        return str(q)
+    # q is m * 10**e to about 20 digits; Decimal takes any exponent, where
+    # float(q) overflows, but converts a long integer in quadratic time
+    e = (abs(n).bit_length() - d.bit_length()) * 3 // 10 - 20
+    m = n // (d * 10**e) if e >= 0 else n * 10**-e // d
+    ctx = Context(prec=6, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return f"~{ctx.create_decimal(m).scaleb(e, ctx).normalize(ctx):g}"
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A symmetric entry law with queryable exact moments.
@@ -43,12 +58,26 @@ class DistributionSpec:
     probabilities: tuple[Fraction, ...] = field(default=())
 
     def __post_init__(self):
+        """Check the model conditions: NormalizationError for the probabilities
+        or the variance (symmetry makes the mean 0), AsymmetryError for the support."""
         if self.kind not in _KNOWN_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.kind == DISCRETE_SYMMETRIC:
             if len(self.values) != len(self.probabilities) or not self.values:
                 raise ValueError("discrete law needs matching values/probabilities")
-        validate_distribution(self)
+            if any(p <= 0 for p in self.probabilities):
+                raise NormalizationError("probabilities must be positive")
+            if (total := sum(self.probabilities)) != 1:
+                raise NormalizationError(f"probabilities sum to {_shown(total)}, expected 1")
+            if len(set(self.values)) != len(self.values):
+                raise AsymmetryError("discrete support has repeated values")
+            weight = dict(zip(self.values, self.probabilities))
+            for v, p in weight.items():
+                if weight.get(-v) != p:
+                    raise AsymmetryError(f"value {_shown(v)} (probability {_shown(p)}) "
+                                         f"has no mirror at {_shown(-v)}")
+        if (variance := self.moment(2)) != 1:
+            raise NormalizationError(f"variance is {_shown(variance)}, expected 1")
 
     @property
     def atomless(self) -> bool:
@@ -126,45 +155,6 @@ def discrete_symmetric(pairs) -> DistributionSpec:
     values = tuple(Fraction(v) for v, _ in pairs)
     probs = tuple(Fraction(p) for _, p in pairs)
     return DistributionSpec(DISCRETE_SYMMETRIC, values=values, probabilities=probs)
-
-
-def validate_distribution(spec: DistributionSpec) -> DistributionSpec:
-    """Check the normalization and symmetry conditions; return the spec.
-
-    Raises NormalizationError when the first two moments are off, and
-    AsymmetryError when a discrete support is not symmetric about zero with
-    matching probabilities.
-    """
-    if spec.kind == DISCRETE_SYMMETRIC:
-        if any(p <= 0 for p in spec.probabilities):
-            raise NormalizationError("probabilities must be positive")
-        if sum(spec.probabilities) != 1:
-            raise NormalizationError(
-                f"probabilities sum to {sum(spec.probabilities)}, expected 1"
-            )
-        if len(set(spec.values)) != len(spec.values):
-            raise AsymmetryError("discrete support has repeated values")
-        weight = dict(zip(spec.values, spec.probabilities))
-        for v, p in weight.items():
-            if weight.get(-v) != p:
-                raise AsymmetryError(
-                    f"value {v} (probability {p}) has no mirror at {-v}"
-                )
-        mean = sum(
-            (p * v for v, p in zip(spec.values, spec.probabilities)), Fraction(0)
-        )
-        if mean != 0:
-            raise NormalizationError(f"mean is {mean}, expected 0")
-        var = sum(
-            (p * v * v for v, p in zip(spec.values, spec.probabilities)), Fraction(0)
-        )
-        if var != 1:
-            raise NormalizationError(f"variance is {var}, expected 1")
-    # Built-in continuous kinds are normalized by construction; still assert
-    # the contract so a future kind cannot silently break it.
-    if spec.moment(1) != 0 or spec.moment(2) != 1:
-        raise NormalizationError("law must have mean 0 and variance 1")
-    return spec
 
 
 def law_from_name(name: str) -> DistributionSpec:

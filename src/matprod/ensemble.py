@@ -170,10 +170,6 @@ class BetaParams:
     def predicted_mean(self) -> float:
         return -0.5 * self.beta
 
-    @property
-    def predicted_variance(self) -> float:
-        return self.beta
-
     def cdf(self, x: float) -> float:
         """CDF of the limiting law Normal(-beta/2, beta) at x; beta must be
         positive."""

@@ -42,12 +42,8 @@ class FloatRangeError(MatprodError):
     """A float result is not finite: it left the range of double precision."""
 
 
-class EmptyBatch(MatprodError):
-    """A sample batch with no usable samples was passed where one is required."""
-
-
 class InsufficientSamples(MatprodError):
-    """Too few trials for the requested estimator."""
+    """Too few trials or samples for the requested estimator or statistic."""
 
 
 class UsageError(MatprodError):

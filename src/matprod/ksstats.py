@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, InsufficientSamples
+from .errors import InsufficientSamples
 
 # Asymptotic 5% two-sided critical coefficient for the KS statistic.
 KS_COEFF_5PCT = 1.358
@@ -51,7 +51,7 @@ def one_sample_ks(sorted_samples: np.ndarray, cdf) -> KSReport:
     """
     x = check_ascending(sorted_samples, "one-sample KS samples")
     if x.size == 0:
-        raise EmptyBatch("one-sample KS needs at least one sample")
+        raise InsufficientSamples("one-sample KS needs at least one sample")
     n = x.size
     ref = np.fromiter(map(cdf, x), np.float64, count=n)
     # k/n - F(x_k), then F(x_k) - (k-1)/n, each built in place in a work
@@ -87,7 +87,7 @@ def two_sample_ks(a, b) -> KSReport:
     a = check_ascending(a, "two-sample KS samples")
     b = check_ascending(b, "two-sample KS samples")
     if a.size == 0 or b.size == 0:
-        raise EmptyBatch("two-sample KS needs nonempty samples on both sides")
+        raise InsufficientSamples("two-sample KS needs nonempty samples on both sides")
     stat = max(_largest_gap(a, b), _largest_gap(b, a))
     crit = KS_COEFF_5PCT * math.sqrt((a.size + b.size) / (a.size * b.size))
     return KSReport(statistic=stat, critical_5pct=crit)

@@ -286,13 +286,18 @@ def block_count(trials: int) -> int:
     return (trials + CHUNK - 1) // CHUNK
 
 
-def product_draws(config: EnsembleConfig, u: UnitVector, trials: int) -> int:
-    """Expected weight entries ``run_trials`` draws: blocks * CHUNK *
-    sum_i (p n_i)(p n_{i-1}), the first layer's live units being u's nonzero
-    coordinates, and each term at least ``TRIAL_LAYER_FLOOR``."""
-    live = [sum(1 for c in u.values if c)] + [config.p * n for n in config.widths[1:]]
-    per_trial = sum(max(a * b, TRIAL_LAYER_FLOOR) for a, b in zip(live, live[1:]))
+def charged_draws(trials: int, layer_entries) -> int:
+    """Entries a sampler call is charged: blocks * CHUNK * the sum of a trial's
+    expected entries per layer, each at least ``TRIAL_LAYER_FLOOR``."""
+    per_trial = sum(max(entries, TRIAL_LAYER_FLOOR) for entries in layer_entries)
     return math.ceil(block_count(trials) * CHUNK * per_trial)
+
+
+def product_draws(config: EnsembleConfig, u: UnitVector, trials: int) -> int:
+    """Entries ``run_trials`` is charged: (p n_i)(p n_{i-1}) per trial-layer,
+    the first layer's live units being u's nonzero coordinates."""
+    live = [sum(1 for c in u.values if c)] + [config.p * n for n in config.widths[1:]]
+    return charged_draws(trials, (a * b for a, b in zip(live, live[1:])))
 
 
 def check_draws(estimate: int, what: str) -> None:
@@ -403,8 +408,7 @@ def chi_square_product_sampler(
     widths = tuple(int(n) for n in widths)
     if any(n < 1 for n in widths):
         raise ValueError("widths must be positive")
-    draws = block_count(trials) * CHUNK * len(widths) * TRIAL_LAYER_FLOOR
-    check_draws(draws, "chi-square sampler")
+    check_draws(charged_draws(trials, (1,) * len(widths)), "chi-square sampler")
 
     def chunk_fn(index: int):
         rng = chunk_stream(seed, DOMAIN_CHI2, index)

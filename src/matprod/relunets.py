@@ -37,12 +37,11 @@ from .errors import AtomicLawError, DimensionMismatch, FloatRangeError
 from .montecarlo import (
     CHUNK,
     DOMAIN_NET_BLOCKS,
-    TRIAL_LAYER_FLOOR,
     SampleBatch,
     _collect_chunks,
     _contract_layer,
     _renormalize,
-    block_count,
+    charged_draws,
     check_draws,
     chunk_stream,
 )
@@ -62,11 +61,6 @@ class ReluNetConfig:
             raise AtomicLawError("weight law must be atomless")
         if not 0.0 < self.bias_scale < math.inf:
             raise ValueError(f"bias scale must be positive and finite, got {self.bias_scale}")
-
-
-def default_input(dim: int) -> np.ndarray:
-    """All-ones direction scaled to unit norm; any fixed nonzero input works."""
-    return np.full(dim, dim**-0.5)
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -107,15 +101,13 @@ def _jacobian_chunk(cfg: ReluNetConfig, x: np.ndarray, u0: np.ndarray, rng: np.r
 
 
 def jacobian_draws(config: ReluNetConfig, trials: int) -> int:
-    """Expected weight and bias entries ``jacobian_batch`` draws: blocks *
-    CHUNK * sum (n m' + n) over the layers, each term at least
-    ``TRIAL_LAYER_FLOOR``.  The first layer draws all m' = m columns; after
-    it a unit is open with probability exactly 1/2 (symmetric atomless
-    weights and biases), so m' = m / 2."""
+    """Weight and bias entries ``jacobian_batch`` is charged: n m' + n per
+    trial-layer.  The first layer draws all m' = m columns; after it a unit
+    is open with probability exactly 1/2 (symmetric atomless weights and
+    biases), so m' = m / 2."""
     widths = config.widths
     cols = [widths[0]] + [m / 2 for m in widths[1:-1]]
-    per_trial = sum(max(n * c + n, TRIAL_LAYER_FLOOR) for c, n in zip(cols, widths[1:]))
-    return math.ceil(block_count(trials) * CHUNK * per_trial)
+    return charged_draws(trials, (n * c + n for c, n in zip(cols, widths[1:])))
 
 
 def jacobian_batch(
@@ -134,7 +126,6 @@ def jacobian_batch(
     ``SAMPLER_BUDGET`` entries raises ``BudgetExceeded`` before any block runs,
     and one whose forward pass overflows a double raises ``FloatRangeError``.
     """
-    check_draws(jacobian_draws(config, trials), "Jacobian sampler")
     widths = config.widths
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (widths[0],):
@@ -143,6 +134,7 @@ def jacobian_batch(
         raise ValueError("evaluation input must be nonzero")
     if u.dim != widths[0]:
         raise DimensionMismatch(f"u has dim {u.dim}, network expects {widths[0]}")
+    check_draws(jacobian_draws(config, trials), "Jacobian sampler")
     u0 = u.coords
 
     def chunk_fn(index: int):

@@ -16,6 +16,10 @@ A defaulted parameter counts as passed when some call under ``src/matprod``
 of a name or attribute spelled like its function gives it by keyword, or
 reaches its position with positional arguments; a ``*args`` or ``**kwargs``
 argument counts as passing every parameter it could reach.
+
+An imported name counts as used when its module refers to it as a name.
+Every module under ``src/matprod`` and ``tests`` is checked, except the
+names ``__init__.py`` imports from its submodules, which it re-exports.
 """
 
 import ast
@@ -26,6 +30,7 @@ from pathlib import Path
 import matprod
 
 PACKAGE = Path(matprod.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def references_outside_own_definition(tree: ast.Module) -> set[str]:
@@ -120,3 +125,28 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
                     unpassed.append(f"{name}.{param.name}")
     assert defaulted > 0
     assert unpassed == []
+
+
+def imported_names(tree: ast.Module, re_exports: bool):
+    """(name, line) for each name an import statement in the module binds;
+    ``from __future__`` and, where re_exports, relative imports aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or (re_exports and node.level):
+                continue
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, line in imported_names(tree, path.name == "__init__.py"):
+            if name not in used:
+                unused.append(f"{path.parent.name}/{path.name}:{line} {name}")
+    assert unused == []

@@ -25,6 +25,7 @@ from matprod.cli import (
     main,
     parse_config,
     parse_widths,
+    resolve_x,
 )
 from matprod.errors import UsageError
 from matprod.montecarlo import (
@@ -33,7 +34,7 @@ from matprod.montecarlo import (
     product_draws,
     resolve_threads,
 )
-from matprod.relunets import jacobian_draws
+from matprod.relunets import jacobian_batch, jacobian_draws
 
 
 def read_csv(path):
@@ -69,9 +70,37 @@ class TestParsing:
         assert main(["beta", "--p", "1", "--dist", "gaussian"]) == 2
         assert "--widths" in capsys.readouterr().err
 
-    def test_bad_width_token(self):
-        with pytest.raises(UsageError):
-            parse_widths("2,zebra")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0x3", "--widths entry '0x3' must be positive"),
+            ("3x0", "--widths entry '3x0' must be positive"),
+            ("3x2x2", "--widths entry '3x2x2' is not N or NxD"),
+            ("x3", "--widths entry 'x3' is not N or NxD"),
+            ("3x", "--widths entry '3x' is not N or NxD"),
+            ("-1,2", "--widths entry '-1' must be positive"),
+            ("2,-1x2", "--widths entry '-1x2' must be positive"),
+            ("4", "--widths needs at least an input and one layer width"),
+            (",", "--widths has an empty entry in ','"),
+            ("2,zebra", "--widths entry 'zebra' is not N or NxD"),
+        ],
+        ids=["0x3", "3x0", "3x2x2", "x3", "3x", "negative-N", "negative-NxD", "one-width",
+             "empty-entry", "zebra"],
+    )
+    def test_bad_width_token(self, text, message):
+        with pytest.raises(UsageError) as caught:
+            parse_widths(text)
+        assert str(caught.value) == message
+
+    def test_named_x_inputs_are_the_unit_vectors(self):
+        ones, e1 = resolve_x("ones", 5), resolve_x("e1", 5)
+        assert ones.tobytes() == np.full(5, 5**-0.5).tobytes()
+        assert e1.tobytes() == np.eye(5)[0].tobytes()
+        assert not ones.flags.writeable and not e1.flags.writeable
+        cfg = ReluNetConfig((5, 4, 3), matprod.standard_gaussian())
+        u = UnitVector.uniform(5)
+        writable = jacobian_batch(cfg, 300, 0, np.full(5, 5**-0.5), u)
+        assert jacobian_batch(cfg, 300, 0, ones, u).logs.tobytes() == writable.logs.tobytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.json"
@@ -299,6 +328,21 @@ class TestErrorContract:
              "--product-p must be at least the smallest normal double"),
             (["simulate", "--widths", "4x3", "--trials", "50", "--dist", "gaussian",
               "--dist-pairs", "1:0.5,-1:0.5"], None, "--dist-pairs needs --dist discrete"),
+            # an 801-digit variance and 401-digit values, printed to 6 digits
+            (["beta", "--widths", "2,2", "--dist", "discrete",
+              "--dist-pairs", "1e400:0.5,-1e400:0.5"], None,
+             "--dist-pairs invalid law: variance is ~1e+800, expected 1"),
+            (["beta", "--widths", "2,2", "--dist", "discrete",
+              "--dist-pairs", "1e400:0.5,-2e400:0.5"], None,
+             "invalid law: value ~1e+400 (probability 1/2) has no mirror at ~-1e+400"),
+            # a 10001-digit variance: past the digits str() converts, and float range
+            (["beta", "--widths", "2,2", "--dist", "discrete",
+              "--dist-pairs", "3e5000:0.5,-3e5000:0.5"], None,
+             "--dist-pairs invalid law: variance is ~9e+10000, expected 1"),
+            # rounded to 6 digits the sum is 1: the ~ tells it from the exact 1 it misses
+            (["beta", "--widths", "2,2", "--dist", "discrete",
+              "--dist-pairs", "1:0.50000000000000000000001,-1:0.50000000000000000000001"], None,
+             "--dist-pairs invalid law: probabilities sum to ~1, expected 1"),
         ],
         ids=["seed-text", "threads-text", "tolerance-text", "seed-float", "negative-seed",
              "zero-threads", "unknown-key", "assert-text", "u-file-text", "u-file-overflow",
@@ -306,7 +350,9 @@ class TestErrorContract:
              "jacobian-compare-atomic-law", "chi2-check-one-sample",
              "tolerance-nan", "tolerance-negative", "beta-squared-overflow",
              "beta-overflow", "simulate-beta-overflow", "p-subnormal", "product-p-subnormal",
-             "dist-pairs-without-discrete"],
+             "dist-pairs-without-discrete", "dist-pairs-huge-variance",
+             "dist-pairs-huge-value", "dist-pairs-variance-past-str-limit",
+             "dist-pairs-sum-near-1"],
     )
     def test_bad_input_exits_2(self, tmp_path, args, config, message):
         (tmp_path / "text.txt").write_text("0.6 zebra\n")
@@ -321,6 +367,7 @@ class TestErrorContract:
         assert proc.stderr.startswith("matprod: error: ")
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
 
 
 # For each flag that can change a subcommand's rows: its value in a tiny
@@ -712,7 +759,7 @@ print(json.dumps(seen))
 # matprod.__all__, the names that load on first access included
 PUBLIC_NAMES = [
     "AsymmetryError", "AtomicLawError", "BetaParams", "BudgetExceeded",
-    "DimensionMismatch", "DistributionSpec", "EmptyBatch",
+    "DimensionMismatch", "DistributionSpec",
     "EnsembleConfig", "ErrorBudget", "FloatRangeError", "InsufficientSamples",
     "KSReport", "MatprodError", "MomentEstimate", "NormalizationError",
     "ReluNetConfig", "SampleBatch", "SummaryStats", "UnitVector", "UsageError",
@@ -721,7 +768,7 @@ PUBLIC_NAMES = [
     "empirical_moment", "ensemble", "error_budget", "errors", "exact_moment",
     "ksstats", "law_from_name", "montecarlo", "one_sample_ks", "pathsum",
     "rademacher", "relunets", "run_trials", "standard_gaussian", "summary", "theory_moment",
-    "two_sample_ks", "uniform_symmetric", "validate_distribution",
+    "two_sample_ks", "uniform_symmetric",
 ]
 
 

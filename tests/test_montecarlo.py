@@ -10,7 +10,6 @@ import scipy.stats
 
 from matprod import (
     BudgetExceeded,
-    EmptyBatch,
     EnsembleConfig,
     InsufficientSamples,
     SampleBatch,

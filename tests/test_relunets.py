@@ -27,7 +27,6 @@ from matprod.montecarlo import (
 )
 from matprod.relunets import (
     _jacobian_chunk,
-    default_input,
     jacobian_batch,
     jacobian_draws,
 )
@@ -41,7 +40,7 @@ def tiny_config(gauss, widths=(5, 6, 4, 3), bias_scale=1.0):
 def inputs(cfg):
     """The CLI's default evaluation input and direction: all-ones x, uniform u."""
     n0 = cfg.widths[0]
-    return default_input(n0), UnitVector.uniform(n0)
+    return UnitVector.uniform(n0).coords, UnitVector.uniform(n0)
 
 
 class TestConfig:
@@ -108,7 +107,7 @@ class TestJacobian:
         widths = (4, 5, 5, 4)
         cfg = ReluNetConfig(widths, weight_law=gauss)
         nets = 10_000
-        x = default_input(4)
+        x = UnitVector.uniform(4).coords
         opens = 0
         neurons = 0
         for t in range(nets):
@@ -165,7 +164,7 @@ class TestBlockEngine:
     def test_every_trial_matches_its_single_network(self, gauss):
         widths = (5, 6, 4, 3)
         cfg = tiny_config(gauss, widths=widths, bias_scale=0.5)
-        x, u = default_input(5), UnitVector.uniform(5)
+        x, u = UnitVector.uniform(5).coords, UnitVector.uniform(5)
         logs = _jacobian_chunk(cfg, x, u.coords, chunk_stream(42, DOMAIN_NET_BLOCKS, 0))
         alive = np.isfinite(logs)
         weights, biases, _ = replay_block(cfg, x, 42, 0)
@@ -321,7 +320,7 @@ class TestComparison:
         e1[0] = 1.0
         u = UnitVector.uniform(8)
         a = jacobian_batch(cfg, 20_000, 3, e1, u)
-        b = jacobian_batch(cfg, 20_000, 4, default_input(8), u)
+        b = jacobian_batch(cfg, 20_000, 4, UnitVector.uniform(8).coords, u)
         report = two_sample_ks(a.samples, b.samples)
         assert report.statistic <= 0.02
 
@@ -337,6 +336,19 @@ class TestSamplerGuard:
     def test_narrow_layers_charge_the_floor(self, gauss):
         cfg = tiny_config(gauss, widths=(1, 1, 16))
         assert jacobian_draws(cfg, 10) == 256 * (TRIAL_LAYER_FLOOR + 16 * 0.5 + 16)
+
+    @pytest.mark.parametrize(
+        "x, u_dim, error",
+        [(np.ones(3), 64, DimensionMismatch), (np.zeros(64), 64, ValueError),
+         (np.ones(64), 3, DimensionMismatch)],
+        ids=["x-shape", "x-zero", "u-dim"],
+    )
+    def test_inputs_checked_before_the_charge(self, gauss, x, u_dim, error):
+        # the charge alone, ~6.27e12 entries, would be refused
+        cfg = tiny_config(gauss, widths=(64, 64, 64))
+        assert jacobian_draws(cfg, 10**9) > SAMPLER_BUDGET
+        with pytest.raises(error):
+            jacobian_batch(cfg, 10**9, 0, x, UnitVector.uniform(u_dim))
 
     def test_minutes_of_sampling_refused_up_front(self, gauss):
         cfg = tiny_config(gauss, widths=(1000,) * 121)

@@ -7,7 +7,6 @@ import scipy.stats
 
 from matprod import (
     BetaParams,
-    EmptyBatch,
     InsufficientSamples,
     one_sample_ks,
     summary,
@@ -86,7 +85,7 @@ class TestOneSampleKs:
         assert one_sample_ks(samples, normal_cdf).statistic == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(InsufficientSamples):
             one_sample_ks(np.array([]), normal_cdf)
 
     def test_affine_invariance(self, rng):
@@ -155,7 +154,7 @@ class TestTwoSampleKs:
         assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyBatch):
+        with pytest.raises(InsufficientSamples):
             two_sample_ks([], [1.0])
 
     def test_equals_merged_support_evaluation(self, rng):
