@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -48,6 +48,16 @@ from .distributions import (
 from .ensemble import EnsembleConfig, UnitVector, compute_beta, error_budget, to_double
 from .errors import BudgetExceeded, FloatRangeError, MatprodError, UsageError
 from .pathsum import brute_force_moment, exact_moment, theory_moment
+
+# hashlib loads OpenSSL, about 3.7 MB of a numpy-free call's peak; CPython's
+# built-in module is the same SHA-256 (3.12+ names it _sha2)
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 # numpy and the samplers load inside the subcommands that use them, so that
 # beta and moments --trials 0 start without them.
@@ -87,7 +97,7 @@ class ExperimentConfig:
         for name in _RUN_ONLY:
             del payload[name]
         blob = json.dumps(payload, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return sha256(blob.encode()).hexdigest()[:12]
 
 
 def parse_widths(text: str) -> tuple[int, ...]:
@@ -271,12 +281,13 @@ def resolve_u(spec: str, dim: int) -> UnitVector:
     if spec == "uniform":
         return UnitVector.uniform(dim)
     coords = _load_coords(spec, dim, "--u", "e1, uniform")
-    try:
-        nrm = math.sqrt(math.fsum(c * c for c in coords))
-    except OverflowError:
-        nrm = math.inf
-    if not 0.0 < nrm < math.inf:
-        raise UsageError(f"--u file norm {nrm} is outside double precision")
+    # Scale by the power of two that puts the largest |c| in [0.5, 1): the
+    # sum of squares then lies in [0.25, dim] and its large terms are normal
+    # doubles.  The factor is exact and cancels in c / norm, so a file whose
+    # squares were already normal gives the unit vector it gave unscaled.
+    shift = -math.frexp(max(map(abs, coords)))[1]
+    coords = [math.ldexp(c, shift) for c in coords]
+    nrm = math.sqrt(math.fsum(c * c for c in coords))
     return UnitVector([c / nrm for c in coords])
 
 
@@ -631,13 +642,30 @@ _RUNNERS = {
 }
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output path that cannot be a file, before the run computes
+    the rows it would lose."""
+    if os.path.isdir(path):
+        raise UsageError(f"--output {path!r} is a directory")
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise UsageError(f"--output {path!r} is in {folder!r}, which is not a directory")
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute the experiment; returns the process exit status."""
+    if config.output:
+        _check_output(config.output)
     rows, ok = _RUNNERS[config.subcommand][0](config)
     text = _write_rows(config, rows)
     if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(
+                f"--output {config.output!r} unwritable: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(text)
     if config.assert_checks and not ok:

@@ -168,7 +168,8 @@ class BetaParams:
 
     @property
     def predicted_mean(self) -> float:
-        return -0.5 * self.beta
+        # 0.0 - x, not -x: beta = 0 gives a mean of 0, not -0
+        return 0.0 - 0.5 * self.beta
 
     def cdf(self, x: float) -> float:
         """CDF of the limiting law Normal(-beta/2, beta) at x; beta must be
